@@ -47,14 +47,14 @@ bench-json:
 		-bench 'BenchmarkPipelineGrad$$|BenchmarkPipelineBatchGrad|BenchmarkGradSearchEngines|BenchmarkTable1_DOTEHist|BenchmarkIncrementalFDGrad|BenchmarkEvalCacheMemo|BenchmarkAllocAttack' . \
 		| $(GO) run ./cmd/benchjson -out $(BENCHJSON_OUT) $(if $(BENCHJSON_BASELINE),-compare $(BENCHJSON_BASELINE))
 
-# bench-lp archives the sparse revised-simplex benchmarks — dense vs revised
-# cold solves, dual-simplex RHS re-solves vs pristine cold solves (the
-# pivot-count win of the tentpole), and the 100-node Waxman acceptance point —
-# then runs the -race leg over the revised paths (concurrent pooled-solver
-# borrow plus live stats scraping / method flipping).
+# bench-lp archives the sparse revised-simplex benchmarks — revised vs the
+# dense test oracle on cold transport solves and on Abilene/GÉANT optimal-MLU
+# solves (cold and warm), dual-simplex RHS re-solves vs pristine cold solves,
+# and the 100-node Waxman acceptance point — then runs the -race leg over the
+# revised paths (concurrent pooled-solver borrow plus live stats scraping).
 bench-lp:
 	{ $(GO) test -run xxx -benchtime $(BENCHTIME) -benchmem \
-		-bench 'BenchmarkColdSolve|BenchmarkResolveRHS' ./internal/lp/ ; \
+		-bench 'BenchmarkColdSolve|BenchmarkResolveRHS|BenchmarkMLUEngines' ./internal/lp/ ; \
 	  $(GO) test -run xxx -benchtime $(BENCHTIME) -benchmem \
 		-bench 'BenchmarkWaxman100' ./internal/te/ ; } \
 		| $(GO) run ./cmd/benchjson -out $(BENCHLP_OUT) $(if $(BENCHLP_BASELINE),-compare $(BENCHLP_BASELINE))

@@ -13,7 +13,7 @@ import (
 // allocator's scorer, then attack it over request-mix vectors with the same
 // gray-box gradient search the TE case study uses, scoring every candidate
 // against the packing MILP through RatioOverride. Honors the shared
-// -timeout, -metrics, -lp, -quick, -seed and -weights flags; -variant,
+// -timeout, -metrics, -quick, -seed and -weights flags; -variant,
 // -topology and -setup are TE-specific and ignored here.
 func cmdAlloc(args []string) error {
 	c := newCommon("alloc")

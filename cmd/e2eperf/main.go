@@ -32,14 +32,12 @@ import (
 	"repro/internal/dote"
 	"repro/internal/experiments"
 	"repro/internal/gan"
-	"repro/internal/lp"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/robust"
 	"repro/internal/search"
 	"repro/internal/sim"
-	"repro/internal/te"
 	"repro/internal/traffic"
 )
 
@@ -103,7 +101,6 @@ type commonFlags struct {
 	timeout  *time.Duration
 	metrics  *string
 	pprofTo  *string
-	lpMeth   *string
 
 	// reg is the telemetry registry, created lazily by registry() when
 	// -metrics was given.
@@ -125,7 +122,6 @@ func newCommon(name string) *commonFlags {
 		timeout:  fs.Duration("timeout", 0, "wall-clock budget per gradient search; on expiry the best-so-far result is reported (0 = unlimited)"),
 		metrics:  fs.String("metrics", "", `dump telemetry to stderr at exit: "text", "json" or "prom" (default off; off means zero instrumentation overhead)`),
 		pprofTo:  fs.String("pprof", "", "write a CPU profile of the whole run to this file"),
-		lpMeth:   fs.String("lp", "auto", "LP simplex engine: dense, revised, or auto (size-based dispatch: dense stays the exactness oracle at Abilene/Geant scale, revised takes over on tegen-grown topologies)"),
 	}
 }
 
@@ -187,11 +183,6 @@ func (c *commonFlags) instrument() (func(), error) {
 	default:
 		return nil, fmt.Errorf("-metrics=%q: want text, json, or prom", *c.metrics)
 	}
-	m, ok := lp.ParseMethod(*c.lpMeth)
-	if !ok {
-		return nil, fmt.Errorf("-lp=%q: want dense, revised, or auto", *c.lpMeth)
-	}
-	te.SetLPMethod(m)
 	stopProf, err := c.startPprof()
 	if err != nil {
 		return nil, err

@@ -23,9 +23,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/lp"
 	"repro/internal/serve"
-	"repro/internal/te"
 )
 
 func cmdServe(args []string) error {
@@ -35,16 +33,10 @@ func cmdServe(args []string) error {
 	jobs := fs.Int("jobs", 2, "jobs running concurrently (each additionally shards its restarts over the pool)")
 	cacheEntries := fs.Int("cache-entries", 1<<16, "entries per shared per-checkpoint eval cache (negative disables sharing)")
 	metrics := fs.String("metrics", "", `flush a telemetry snapshot to stderr after every job completes: "text", "json" or "prom" (the /metrics endpoint is always on)`)
-	lpMeth := fs.String("lp", "auto", "LP simplex engine: dense, revised, or auto")
 	quiet := fs.Bool("q", false, "suppress per-job log lines")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, ok := lp.ParseMethod(*lpMeth)
-	if !ok {
-		return fmt.Errorf("-lp=%q: want dense, revised, or auto", *lpMeth)
-	}
-	te.SetLPMethod(m)
 	switch *metrics {
 	case "", "text", "json", "prom", "prometheus":
 	default:
@@ -105,7 +97,6 @@ func cmdGate(args []string) error {
 	label := fs.String("label", "gate", "job label echoed in daemon logs and events")
 	jsonOut := fs.String("json", "", "write the full result JSON (adversarial input included) to this file")
 	verbose := fs.Bool("v", false, "stream improvement events to stderr as they happen")
-	lpMeth := fs.String("lp", "auto", "LP simplex engine for in-process mode: dense, revised, or auto")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -144,11 +135,6 @@ func cmdGate(args []string) error {
 
 	client := &serve.Client{Base: *addr}
 	if *addr == "" {
-		m, ok := lp.ParseMethod(*lpMeth)
-		if !ok {
-			return fmt.Errorf("-lp=%q: want dense, revised, or auto", *lpMeth)
-		}
-		te.SetLPMethod(m)
 		s := serve.New(serve.Config{JobConcurrency: 1})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

@@ -22,7 +22,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/lp"
 	"repro/internal/paths"
 	"repro/internal/te"
 	"repro/internal/topology"
@@ -51,7 +50,6 @@ func main() {
 		g.NumNodes(), g.NumEdges(), ps.NumPairs(), *k)
 
 	s := te.NewMLUSolver(ps)
-	s.SetMethod(lp.MethodRevised)
 	for e, tm := range seq {
 		t0 := time.Now()
 		mlu, splits, err := s.Solve(tm)

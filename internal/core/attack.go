@@ -36,10 +36,10 @@ type AttackTarget struct {
 }
 
 // attackRouting holds the routing incidence caches and the utilization
-// kernels for the constraint term of one path set. It lives in a
-// package-level cache rather than on AttackTarget so that targets stay
-// plain copyable values (searchers clone them to probe perturbed settings)
-// while concurrent restart goroutines still build the cache exactly once.
+// kernels for the constraint term of one path set. It is memoized on the
+// path set rather than stored on AttackTarget so that targets stay plain
+// copyable values (searchers clone them to probe perturbed settings) while
+// concurrent restart goroutines share one copy.
 type attackRouting struct {
 	slotPair  []int
 	slotEdges [][]int
@@ -106,15 +106,9 @@ func (r *attackRouting) batchMaxSegs(rows int) *attackSegs {
 	return s
 }
 
-// attackRoutingCache maps path sets to their routing kernels. Bounded like
-// te's solver cache: path sets are few and long-lived, so wholesale eviction
-// is a backstop, not a policy.
-var attackRoutingCache = struct {
-	sync.Mutex
-	m map[*paths.PathSet]*attackRouting
-}{m: make(map[*paths.PathSet]*attackRouting)}
-
-const attackRoutingCacheLimit = 32
+// attackRoutingKey is the paths.PathSet.Memo key of a path set's routing
+// kernels.
+type attackRoutingKey struct{}
 
 // Validate checks internal consistency. The path set may be nil for
 // non-TE systems ("Beyond learning-enabled systems", §6) — then a
@@ -180,19 +174,16 @@ func (a *AttackTarget) RatioCtx(ctx context.Context, x []float64) (ratio, sys, o
 	return sys / opt, sys, opt, nil
 }
 
-// routingFor returns the cached incidence and utilization kernels for ps,
-// building them on first use. The forward/backward closures are built once
-// here, not per constraintMLU call, so the per-iteration hot path records
-// them onto the tape without allocating.
+// routingFor returns the incidence and utilization kernels for ps, memoized
+// on the path set (so they are collected with it) and built on first use.
+// The forward/backward closures are built once here, not per constraintMLU
+// call, so the per-iteration hot path records them onto the tape without
+// allocating.
 func routingFor(ps *paths.PathSet) *attackRouting {
-	attackRoutingCache.Lock()
-	defer attackRoutingCache.Unlock()
-	if r, ok := attackRoutingCache.m[ps]; ok {
-		return r
-	}
-	if len(attackRoutingCache.m) >= attackRoutingCacheLimit {
-		attackRoutingCache.m = make(map[*paths.PathSet]*attackRouting)
-	}
+	return ps.Memo(attackRoutingKey{}, func() any { return newAttackRouting(ps) }).(*attackRouting)
+}
+
+func newAttackRouting(ps *paths.PathSet) *attackRouting {
 	offsets, total := ps.Offsets()
 	r := &attackRouting{
 		offsets:   offsets,
@@ -256,7 +247,6 @@ func routingFor(ps *paths.PathSet) *attackRouting {
 			}
 		}
 	}
-	attackRoutingCache.m[ps] = r
 	return r
 }
 

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -293,7 +295,7 @@ func GradientSearchContext(ctx context.Context, target *AttackTarget, cfg Gradie
 	if workers <= 0 || workers > cfg.Restarts {
 		workers = cfg.Restarts
 	}
-	// Pre-warm the shared routing cache before spawning restarts.
+	// Pre-warm the path set's routing kernels before spawning restarts.
 	if target.PS != nil {
 		routingFor(target.PS)
 	}
@@ -347,20 +349,23 @@ func GradientSearchContext(ctx context.Context, target *AttackTarget, cfg Gradie
 	start := time.Now()
 	res := &SearchResult{Method: "gradient-based (" + cfg.Mode.String() + ")"}
 	var mu sync.Mutex
-	improve := func(ratio, sys, opt float64, x []float64, iter int) {
+	// Improvements are logged per restart and folded into Best*/Trace only
+	// after the restarts join (foldImprovements), so the result does not
+	// depend on the order concurrent restarts happen to report in. Only the
+	// live OnImprove stream follows arrival order.
+	logs := make([]restartLog, cfg.Restarts)
+	liveBest := 0.0
+	improve := func(restart int, ratio, sys, opt float64, x []float64, iter int) {
+		at := time.Since(start)
 		mu.Lock()
 		defer mu.Unlock()
-		if ratio > res.BestRatio {
-			res.BestRatio = ratio
-			res.BestSysMLU = sys
-			res.BestOptMLU = opt
-			res.BestX = append([]float64{}, x...)
-			res.TimeToBest = time.Since(start)
-			res.Found = true
-			res.Trace = append(res.Trace, TracePoint{Iter: iter, Ratio: ratio, Elapsed: res.TimeToBest})
-			so.improvements.Inc()
+		logs[restart].record(improvement{
+			restart: restart, iter: iter, ratio: ratio, sys: sys, opt: opt, at: at,
+		}, x)
+		if ratio > liveBest {
+			liveBest = ratio
 			if cfg.OnImprove != nil {
-				cfg.OnImprove(ratio, sys, opt, iter, res.TimeToBest)
+				cfg.OnImprove(ratio, sys, opt, iter, at)
 			}
 		}
 	}
@@ -426,6 +431,7 @@ func GradientSearchContext(ctx context.Context, target *AttackTarget, cfg Gradie
 		res.Restarts = outcomes
 	}
 	res.Elapsed = time.Since(start)
+	res.foldImprovements(logs, so.improvements)
 	res.StopReason = aggregateStop(ctx, res.Restarts)
 	if cfg.Obs != nil {
 		if target.PS != nil {
@@ -453,6 +459,57 @@ func GradientSearchContext(ctx context.Context, target *AttackTarget, cfg Gradie
 	return res, nil
 }
 
+// improvement is one restart's new local-best ratio.
+type improvement struct {
+	restart, iter   int
+	ratio, sys, opt float64
+	at              time.Duration // since the search started
+}
+
+// restartLog is one restart's improvement history. Its ratios rise
+// strictly, so only the last entry can become the search's best; bestX
+// holds that entry's point, overwritten on every local improvement.
+type restartLog struct {
+	entries []improvement
+	bestX   []float64
+}
+
+// record appends im and makes x the restart's best point.
+func (l *restartLog) record(im improvement, x []float64) {
+	l.entries = append(l.entries, im)
+	l.bestX = append(l.bestX[:0], x...)
+}
+
+// foldImprovements replays the per-restart improvement logs in (iter,
+// restart) order, setting Best*, Found, Trace and TimeToBest from the
+// entries that raise the global best, and counts each such entry on
+// improvements (nil-safe). The order is a function of the trajectories
+// alone, never of goroutine scheduling, so equal trajectories give equal
+// results.
+func (res *SearchResult) foldImprovements(logs []restartLog, improvements *obs.Counter) {
+	var all []improvement
+	for _, l := range logs {
+		all = append(all, l.entries...)
+	}
+	sort.SliceStable(all, func(a, b int) bool {
+		if all[a].iter != all[b].iter {
+			return all[a].iter < all[b].iter
+		}
+		return all[a].restart < all[b].restart
+	})
+	for _, im := range all {
+		if im.ratio <= res.BestRatio {
+			continue
+		}
+		res.BestRatio, res.BestSysMLU, res.BestOptMLU = im.ratio, im.sys, im.opt
+		res.BestX = logs[im.restart].bestX
+		res.TimeToBest = im.at
+		res.Found = true
+		res.Trace = append(res.Trace, TracePoint{Iter: im.iter, Ratio: im.ratio, Elapsed: im.at})
+		improvements.Inc()
+	}
+}
+
 // aggregateStop folds per-restart outcomes into the search-level StopReason.
 func aggregateStop(ctx context.Context, outcomes []RestartOutcome) StopReason {
 	if err := ctx.Err(); err != nil {
@@ -460,6 +517,9 @@ func aggregateStop(ctx context.Context, outcomes []RestartOutcome) StopReason {
 	}
 	sawConverged, sawNonFault := false, false
 	for _, o := range outcomes {
+		if o.Stop == StopDeadline || o.Stop == StopCancelled {
+			return o.Stop // the context fired mid-evaluation (see evalCtxErr)
+		}
 		if o.Stop == StopConverged {
 			sawConverged = true
 		}
@@ -477,11 +537,24 @@ func aggregateStop(ctx context.Context, outcomes []RestartOutcome) StopReason {
 	}
 }
 
+// evalCtxErr returns the context error behind a failed evaluation: ctx's own
+// error, or a deadline the LP saw pass before ctx's timer fired (te reports
+// that as context.DeadlineExceeded while ctx.Err() can still be nil).
+func evalCtxErr(ctx context.Context, err error) error {
+	if ce := ctx.Err(); ce != nil {
+		return ce
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // runRestart executes one trajectory of Eq. 5. It never propagates panics or
 // component errors: each outer iteration's compute runs under a recover()
 // boundary, and a fault retires only this restart (recorded in the outcome).
 func runRestart(ctx context.Context, target *AttackTarget, cfg GradientConfig, restart int,
-	improve func(ratio, sys, opt float64, x []float64, iter int),
+	improve func(restart int, ratio, sys, opt float64, x []float64, iter int),
 	count func(evals, grads, lps int),
 	recordFault func(*ComponentError),
 	so *searchObs,
@@ -633,7 +706,7 @@ func runRestart(ctx context.Context, target *AttackTarget, cfg GradientConfig, r
 				lps++
 			}
 			if err != nil {
-				if ce := ctx.Err(); ce != nil {
+				if ce := evalCtxErr(ctx, err); ce != nil {
 					out.Stop = ctxStopReason(ce)
 					return out
 				}
@@ -662,7 +735,7 @@ func runRestart(ctx context.Context, target *AttackTarget, cfg GradientConfig, r
 			if ratio > bestLocal {
 				bestLocal = ratio
 				stale = 0
-				improve(ratio, sys, opt, x, iter)
+				improve(restart, ratio, sys, opt, x, iter)
 			} else {
 				stale++
 				if cfg.Patience > 0 && stale >= cfg.Patience {
@@ -695,7 +768,7 @@ func runRestart(ctx context.Context, target *AttackTarget, cfg GradientConfig, r
 // with Restart == -1) — still returning the best-so-far result rather than
 // crashing.
 func runBatchedRestarts(ctx context.Context, target *AttackTarget, cfg GradientConfig, workers int,
-	improve func(ratio, sys, opt float64, x []float64, iter int),
+	improve func(restart int, ratio, sys, opt float64, x []float64, iter int),
 	count func(evals, grads, lps int),
 	recordFault func(*ComponentError),
 	so *searchObs,
@@ -998,7 +1071,7 @@ func runBatchedRestarts(ctx context.Context, target *AttackTarget, cfg GradientC
 					continue
 				}
 				if er.err != nil {
-					if ce := ctx.Err(); ce != nil {
+					if ce := evalCtxErr(ctx, er.err); ce != nil {
 						stopActive(ctxStopReason(ce))
 						return outcomes
 					}
@@ -1021,7 +1094,7 @@ func runBatchedRestarts(ctx context.Context, target *AttackTarget, cfg GradientC
 				if er.ratio > bestLocal[r] {
 					bestLocal[r] = er.ratio
 					stale[r] = 0
-					improve(er.ratio, er.sys, er.opt, X.Row(r), iter)
+					improve(r, er.ratio, er.sys, er.opt, X.Row(r), iter)
 				} else {
 					stale[r]++
 					if cfg.Patience > 0 && stale[r] >= cfg.Patience {

@@ -80,6 +80,9 @@ func RelativeGradientSearch(t *RelativeTarget, cfg GradientConfig) (*SearchResul
 	start := time.Now()
 	res := &SearchResult{Method: "gradient-based (relative " + cfg.Mode.String() + ")"}
 	var mu sync.Mutex
+	// Per-restart improvement logs, each written only by its own restart
+	// and folded in deterministic order after the join.
+	logs := make([]restartLog, cfg.Restarts)
 
 	workers := cfg.Workers
 	if workers <= 0 || workers > cfg.Restarts {
@@ -154,16 +157,10 @@ func RelativeGradientSearch(t *RelativeTarget, cfg GradientConfig) (*SearchResul
 					if ratio > bestLocal && !math.IsInf(ratio, 0) {
 						bestLocal = ratio
 						stale = 0
-						mu.Lock()
-						if ratio > res.BestRatio {
-							res.BestRatio = ratio
-							res.BestSysMLU, res.BestOptMLU = ra, rb
-							res.BestX = append(res.BestX[:0], x...)
-							res.TimeToBest = time.Since(start)
-							res.Found = true
-							res.Trace = append(res.Trace, TracePoint{Iter: iter, Ratio: ratio, Elapsed: res.TimeToBest})
-						}
-						mu.Unlock()
+						logs[restart].record(improvement{
+							restart: restart, iter: iter, ratio: ratio, sys: ra, opt: rb,
+							at: time.Since(start),
+						}, x)
 					} else {
 						stale++
 						if cfg.Patience > 0 && stale >= cfg.Patience {
@@ -176,6 +173,7 @@ func RelativeGradientSearch(t *RelativeTarget, cfg GradientConfig) (*SearchResul
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
+	res.foldImprovements(logs, nil)
 	if cfg.Obs != nil {
 		cfg.Obs.Histogram("search.elapsed.ms").Observe(float64(res.Elapsed) / float64(time.Millisecond))
 		res.Telemetry = cfg.Obs.Snapshot()

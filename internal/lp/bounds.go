@@ -25,13 +25,12 @@ type Basis struct {
 	nv, nc int
 }
 
-// SaveBasis copies the solver's current revised basis into b (reusing b's
-// buffers) and reports whether a snapshot was available — it is only after a
-// successful revised-engine solve. Dense solves and failed solves return
-// false and leave b unchanged.
+// SaveBasis copies the solver's current basis into b (reusing b's buffers)
+// and reports whether a snapshot was available — it is only after a
+// successful solve. Failed solves return false and leave b unchanged.
 func (s *Solver) SaveBasis(b *Basis) bool {
 	rv := s.rev
-	if rv == nil || !rv.valid || !s.lastRevised {
+	if rv == nil || !rv.valid {
 		return false
 	}
 	b.basis = append(b.basis[:0], rv.basis...)
@@ -40,12 +39,12 @@ func (s *Solver) SaveBasis(b *Basis) bool {
 	return true
 }
 
-// LoadBasis installs a snapshot as the solver's retained revised basis, so
-// the next ResolveBounds (or revised Solve) warm-starts from it. The
-// partial-pricing cursor is reset along with the load: together with the
-// fresh factorization ResolveBounds performs, this erases every trace of the
-// solver's prior pivot history, which keeps warm node solves reproducible
-// across workers. Reports false for an empty (never-saved) snapshot.
+// LoadBasis installs a snapshot as the solver's retained basis, so the next
+// ResolveBounds (or Solve) warm-starts from it. The partial-pricing cursor
+// is reset along with the load: together with the fresh factorization
+// ResolveBounds performs, this erases every trace of the solver's prior
+// pivot history, which keeps warm node solves reproducible across workers.
+// Reports false for an empty (never-saved) snapshot.
 func (s *Solver) LoadBasis(b *Basis) bool {
 	if b == nil || (b.nv == 0 && len(b.basis) == 0) {
 		return false
@@ -59,20 +58,14 @@ func (s *Solver) LoadBasis(b *Basis) bool {
 	rv.nv, rv.nc = b.nv, b.nc
 	rv.cursor = 0
 	rv.valid = true
-	s.lastRevised = true
 	return true
 }
 
-// InvalidateBasis drops every piece of warm-start state — the dense warm
-// basis, the RHS factor cache, and the revised engine's retained basis and
-// pricing cursor — forcing the next solve cold. Branch-and-bound uses it
-// when a node has no usable parent snapshot, so the resulting cold solve is
-// identical no matter which pooled solver runs it.
+// InvalidateBasis drops every piece of warm-start state — the retained basis
+// and the pricing cursor — forcing the next solve cold. Branch-and-bound uses
+// it when a node has no usable parent snapshot, so the resulting cold solve
+// is identical no matter which pooled solver runs it.
 func (s *Solver) InvalidateBasis() {
-	s.warmBasis = s.warmBasis[:0]
-	s.warmTotal = 0
-	s.rhsReady = false
-	s.lastRevised = false
 	if s.rev != nil {
 		s.rev.valid = false
 		s.rev.cursor = 0
@@ -80,9 +73,9 @@ func (s *Solver) InvalidateBasis() {
 }
 
 // ResolveBounds re-solves p after a variable-bound-only mutation, reusing
-// the retained revised basis. The contract mirrors ResolveRHS: since the
-// last successful solve (or LoadBasis), only variable bounds may have
-// changed — costs, coefficients, relations, and the RHS must be untouched.
+// the retained basis. The contract mirrors ResolveRHS: since the last
+// successful solve (or LoadBasis), only variable bounds may have changed —
+// costs, coefficients, relations, and the RHS must be untouched.
 //
 // Fast path: refresh the bound arrays of the computational form, normalize
 // nonbasic statuses against the new bounds, re-factorize, and check primal
@@ -92,17 +85,13 @@ func (s *Solver) InvalidateBasis() {
 // verdict — optimal or infeasible — is returned directly; anything else
 // (iteration/deadline limits, singular basis, shape mismatch, status repair
 // that broke dual feasibility) falls back to the full Solve path, which is
-// always correct. On the dense engine ResolveBounds degrades to Solve's
-// ordinary warm/cold fallback.
+// always correct.
 //
 // The re-factorization is unconditional, not an optimization opportunity:
 // starting every bound re-solve from a clean LU of the loaded basis (rather
 // than an inherited eta file) is what makes the result independent of the
 // solver's history — see Basis.
 func (s *Solver) ResolveBounds(p *Problem) *Solution {
-	if s.resolveMethod(p) != MethodRevised {
-		return s.Solve(p)
-	}
 	rv := s.rev
 	if rv == nil || !rv.valid || rv.nv != len(p.vars) || rv.nc != len(p.cons) || len(p.cons) == 0 {
 		return s.Solve(p)
@@ -162,10 +151,10 @@ func (s *Solver) ResolveBounds(p *Problem) *Solution {
 		case StatusOptimal:
 			s.Stats.DualResolves.Add(1)
 		case StatusInfeasible:
-			// Trust the dual's infeasibility proof, exactly like the revised
-			// warm-start path in solveRevised — for branch-and-bound this is
-			// the common "tightening emptied the node" outcome and re-deriving
-			// it cold would erase the warm-start win.
+			// Trust the dual's infeasibility proof, exactly like the warm-start
+			// path in Solve — for branch-and-bound this is the common
+			// "tightening emptied the node" outcome and re-deriving it cold
+			// would erase the warm-start win.
 			rv.valid = false
 			s.Stats.Solves.Add(1)
 			s.Stats.BoundHits.Add(1)
@@ -183,7 +172,6 @@ func (s *Solver) ResolveBounds(p *Problem) *Solution {
 	s.Stats.Solves.Add(1)
 	s.Stats.BoundHits.Add(1)
 	s.Stats.EtaLen.Store(int64(rv.f.nEtas()))
-	s.lastRevised = true
 	sol := &Solution{Status: StatusOptimal}
 	rv.extract(p, sol)
 	if s.Obs != nil {

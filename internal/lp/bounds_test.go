@@ -68,7 +68,7 @@ func TestResolveBoundsRandomizedEquivalence(t *testing.T) {
 	for _, sh := range shapes {
 		for seed := uint64(1); seed <= 25; seed++ {
 			p := buildRandomBoxLP(sh.vars, sh.cons, seed*77+uint64(sh.cons))
-			warm := &Solver{Method: MethodRevised}
+			warm := &Solver{}
 			if warm.Solve(p).Status != StatusOptimal {
 				continue // need a retained basis to warm from
 			}
@@ -78,7 +78,7 @@ func TestResolveBoundsRandomizedEquivalence(t *testing.T) {
 					continue
 				}
 				ws := warm.ResolveBounds(p)
-				ds := (&Solver{Method: MethodDense}).Solve(p)
+				ds := (&denseSolver{}).Solve(p)
 				if ws.Status != ds.Status {
 					t.Fatalf("%dx%d seed %d step %d: warm %v, dense %v",
 						sh.vars, sh.cons, seed, step, ws.Status, ds.Status)
@@ -111,7 +111,7 @@ func TestResolveBoundsHitStats(t *testing.T) {
 	e.Add(1, y)
 	p.AddConstraint("cap", e, LE, 12)
 
-	s := &Solver{Method: MethodRevised}
+	s := &Solver{}
 	if st := s.Solve(p).Status; st != StatusOptimal {
 		t.Fatalf("base solve: %v", st)
 	}
@@ -148,14 +148,14 @@ func TestResolveBoundsInfeasibleVerdict(t *testing.T) {
 	e.Add(1, y)
 	p.AddConstraint("need", e, GE, 5)
 
-	s := &Solver{Method: MethodRevised}
+	s := &Solver{}
 	if st := s.Solve(p).Status; st != StatusOptimal {
 		t.Fatalf("base solve: %v", st)
 	}
 	p.SetVarBounds(x, 0, 1)
 	p.SetVarBounds(y, 0, 1) // x+y ≥ 5 impossible
 	ws := s.ResolveBounds(p)
-	ds := (&Solver{Method: MethodDense}).Solve(p)
+	ds := (&denseSolver{}).Solve(p)
 	if ws.Status != StatusInfeasible || ds.Status != StatusInfeasible {
 		t.Fatalf("warm %v dense %v, want both infeasible", ws.Status, ds.Status)
 	}
@@ -168,7 +168,7 @@ func TestResolveBoundsInfeasibleVerdict(t *testing.T) {
 func TestBasisSnapshotDeterminism(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		p := buildRandomBoxLP(10, 8, seed*991)
-		producer := &Solver{Method: MethodRevised}
+		producer := &Solver{}
 		if producer.Solve(p).Status != StatusOptimal {
 			continue
 		}
@@ -185,8 +185,8 @@ func TestBasisSnapshotDeterminism(t *testing.T) {
 		// Same snapshot, three differently-seasoned solvers.
 		solvers := []*Solver{
 			producer,
-			{Method: MethodRevised}, // pristine
-			{Method: MethodRevised}, // seasoned on an unrelated problem
+			{}, // pristine
+			{}, // seasoned on an unrelated problem
 		}
 		solvers[2].Solve(buildRandomBoxLP(7, 6, seed+5000))
 
@@ -225,7 +225,7 @@ func TestBasisSnapshotDeterminism(t *testing.T) {
 // Basis reports false and leaves the solver cold-solving correctly.
 func TestLoadBasisEmpty(t *testing.T) {
 	var b Basis
-	s := &Solver{Method: MethodRevised}
+	s := &Solver{}
 	if s.LoadBasis(&b) {
 		t.Fatal("LoadBasis succeeded on an empty snapshot")
 	}
@@ -239,5 +239,138 @@ func TestLoadBasisEmpty(t *testing.T) {
 	p.AddConstraint("", e, LE, 1)
 	if sol := s.ResolveBounds(p); sol.Status != StatusOptimal || math.Abs(sol.Objective-1) > 1e-12 {
 		t.Fatalf("fallback solve: %v obj %g", sol.Status, sol.Objective)
+	}
+}
+
+// buildRandomMILPRelaxation builds the LP relaxation of a bounded random
+// MILP in the shape milp's equivalence suite uses: integer variables boxed to
+// small integer ranges (some binary), a few continuous boxes, and LE/GE/EQ
+// rows anchored on an integral point. It returns the problem and the IDs of
+// its integer variables. A slice of instances pins one integer variable into
+// a fractional window, as that suite does.
+func buildRandomMILPRelaxation(nInt, nCont, cons int, seed uint64) (*Problem, []VarID) {
+	r := rng.New(seed)
+	p := NewProblem()
+	ids := make([]VarID, 0, nInt+nCont)
+	anchor := make([]float64, 0, nInt+nCont)
+	for i := 0; i < nInt; i++ {
+		hi := 1.0
+		if r.Intn(3) != 0 {
+			hi = float64(2 + r.Intn(5))
+		}
+		ids = append(ids, p.AddVariable("", 0, hi))
+		anchor = append(anchor, math.Round(r.Uniform(0, hi)))
+	}
+	for i := 0; i < nCont; i++ {
+		lo := r.Uniform(-2, 0)
+		ids = append(ids, p.AddVariable("", lo, lo+r.Uniform(1, 4)))
+		anchor = append(anchor, lo+0.5)
+	}
+	obj := NewExpr()
+	for _, v := range ids {
+		obj.Add(r.Uniform(-2, 3), v)
+	}
+	if r.Intn(2) == 0 {
+		p.SetObjective(Maximize, obj)
+	} else {
+		p.SetObjective(Minimize, obj)
+	}
+	for c := 0; c < cons; c++ {
+		e := NewExpr()
+		lhs := 0.0
+		for i, v := range ids {
+			if r.Float64() < 0.5 {
+				co := r.Uniform(-1, 2)
+				e.Add(co, v)
+				lhs += co * anchor[i]
+			}
+		}
+		switch r.Intn(3) {
+		case 0:
+			p.AddConstraint("", e, LE, lhs+r.Uniform(0.2, 2))
+		case 1:
+			p.AddConstraint("", e, GE, lhs-r.Uniform(0.2, 2))
+		default:
+			p.AddConstraint("", e, EQ, lhs)
+		}
+	}
+	if nInt > 0 && r.Float64() < 0.2 {
+		v := ids[r.Intn(nInt)]
+		lo := NewExpr()
+		lo.Add(1, v)
+		p.AddConstraint("", lo, GE, 0.3)
+		hi := NewExpr()
+		hi.Add(1, v)
+		p.AddConstraint("", hi, LE, 0.7)
+	}
+	return p, ids[:nInt]
+}
+
+// TestBranchNodeRelaxationsMatchDense is the LP-engine cross-check behind
+// branch-and-bound: it dives down random branches of random MILPs, solving
+// every node relaxation three ways — a fresh production solve (what milp's
+// cold-clone engine runs), a warm ResolveBounds chain (what the warm engine
+// runs), and the dense oracle. Statuses must agree and optimal objectives
+// match to 1e-9 relative.
+func TestBranchNodeRelaxationsMatchDense(t *testing.T) {
+	shapes := []struct{ nInt, nCont, cons int }{
+		{4, 0, 3}, {6, 2, 4}, {8, 0, 6}, {10, 3, 8},
+	}
+	nodes := 0
+	for _, sh := range shapes {
+		for seed := uint64(1); seed <= 30; seed++ {
+			p, ints := buildRandomMILPRelaxation(sh.nInt, sh.nCont, sh.cons, seed*131+uint64(sh.nInt))
+			warm := &Solver{}
+			r := rng.New(seed * 7)
+			for depth := 0; ; depth++ {
+				var ws *Solution
+				if depth == 0 {
+					ws = warm.Solve(p)
+				} else {
+					ws = warm.ResolveBounds(p)
+				}
+				cs := (&Solver{}).Solve(p)
+				ds := (&denseSolver{}).Solve(p)
+				nodes++
+				if cs.Status != ds.Status || ws.Status != ds.Status {
+					t.Fatalf("%+v seed %d depth %d: cold %v, warm %v, dense %v",
+						sh, seed, depth, cs.Status, ws.Status, ds.Status)
+				}
+				if ds.Status != StatusOptimal {
+					break
+				}
+				if d := relDiff(cs.Objective, ds.Objective); d > 1e-9 {
+					t.Fatalf("%+v seed %d depth %d: cold obj %.15g, dense %.15g (rel %.3g)",
+						sh, seed, depth, cs.Objective, ds.Objective, d)
+				}
+				if d := relDiff(ws.Objective, ds.Objective); d > 1e-9 {
+					t.Fatalf("%+v seed %d depth %d: warm obj %.15g, dense %.15g (rel %.3g)",
+						sh, seed, depth, ws.Objective, ds.Objective, d)
+				}
+				// Branch on the first fractional integer variable of the
+				// oracle's vertex, down or up at random.
+				branched := false
+				for _, v := range ints {
+					x := ds.X[v]
+					if f := x - math.Floor(x); f < 1e-6 || f > 1-1e-6 {
+						continue
+					}
+					lo, hi := p.VarBounds(v)
+					if r.Intn(2) == 0 {
+						p.SetVarBounds(v, lo, math.Floor(x))
+					} else {
+						p.SetVarBounds(v, math.Ceil(x), hi)
+					}
+					branched = true
+					break
+				}
+				if !branched {
+					break
+				}
+			}
+		}
+	}
+	if nodes < 200 {
+		t.Fatalf("only %d node relaxations compared", nodes)
 	}
 }

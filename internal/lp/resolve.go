@@ -1,9 +1,6 @@
 package lp
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // This file implements the RHS-delta re-solve path: when a problem is solved
 // repeatedly and only its constraint right-hand sides change between solves
@@ -11,183 +8,23 @@ import (
 // flow formulation keeps demands purely in b), the previous optimal basis B
 // remains DUAL feasible — the reduced costs c − c_B B⁻¹A do not involve b at
 // all. It therefore remains optimal if and only if it is still primal
-// feasible, i.e. B⁻¹·b_new ≥ 0. ResolveRHS checks exactly that and, on
-// success, reads the new vertex off the cached factors with zero pivots.
-//
-// The columns of B⁻¹ needed for the update come for free from the final
-// simplex tableau: the tableau is M·[A|b] for the change-of-basis matrix
-// M = B⁻¹ (up to the per-row sign flips of the cold solve), so the column of
-// a row's slack variable — whose constraint column is ±e_r — is ±M·e_r.
-// Independent of the cold solve's sign flips,
-//
-//	B⁻¹ e_r = slackSign_r · tableau[:, slackCol_r],
-//
-// which is why only rows owning a slack/surplus column support delta updates
-// (EQ rows fall back to a normal warm/cold solve when their RHS changes).
+// feasible under the new b; when it is not, the dual simplex repairs the
+// bound violations in a few pivots instead of a warm/cold restart.
 
-// rhsFeasEps mirrors the warm-start feasibility tolerance: basic values this
-// far below zero abandon the fast path, smaller negatives are clamped.
-const rhsFeasEps = 1e-7
-
-// captureRHSFactors snapshots everything ResolveRHS needs from a finished
-// solve: the standard-form b, the basic-variable values, and the reachable
-// B⁻¹ columns. No-op unless KeepRHSFactors is set and the basis covers every
-// row (redundant-row removal leaves a partial basis that cannot be updated).
-func (s *Solver) captureRHSFactors(t [][]float64, basis []int, width int) {
-	m := len(s.rowSlackCol)
-	if !s.KeepRHSFactors || len(basis) != m {
-		s.rhsReady = false
-		return
-	}
-	s.rhsM, s.rhsTotal = m, s.warmTotal
-	s.rhsPrevB = append(s.rhsPrevB[:0], s.b[:m]...)
-	s.rhsXB = growF(s.rhsXB, m)
-	s.rhsBinv = growF(s.rhsBinv, m*m)
-	for i := 0; i < m; i++ {
-		s.rhsXB[i] = t[i][width-1]
-		row := s.rhsBinv[i*m : (i+1)*m]
-		for r := 0; r < m; r++ {
-			if sc := s.rowSlackCol[r]; sc >= 0 {
-				row[r] = s.rowSlackSign[r] * t[i][sc]
-			} else {
-				row[r] = 0
-			}
-		}
-	}
-	s.rhsReady = true
-}
-
-// buildRHS recomputes the standard-form right-hand side of p into s.rhsBNew
-// without touching the coefficient matrix, mirroring buildStandard's rhs
-// arithmetic exactly (bound shifts applied term by term, bound rows appended
-// in variable order). Returns nil if the row count no longer matches the
-// cached solve — a bound flipped between one- and two-sided, i.e. the
-// structure changed.
-func (s *Solver) buildRHS(p *Problem) []float64 {
-	s.rhsBNew = growF(s.rhsBNew, s.rhsM)
-	row := 0
-	for _, con := range p.cons {
-		rhs := con.rhs
-		for _, t := range con.expr.Terms {
-			rhs -= t.Coeff * s.forms[t.Var].shift
-		}
-		if row >= s.rhsM {
-			return nil
-		}
-		s.rhsBNew[row] = rhs
-		row++
-	}
-	for _, v := range p.vars {
-		if !math.IsInf(v.lo, -1) && !math.IsInf(v.hi, 1) {
-			if row >= s.rhsM {
-				return nil
-			}
-			if v.hi > v.lo {
-				s.rhsBNew[row] = v.hi - v.lo
-			} else {
-				s.rhsBNew[row] = 0
-			}
-			row++
-		}
-	}
-	return s.rhsBNew[:row]
-}
-
-// ResolveRHS re-solves p assuming ONLY constraint right-hand sides (and/or
-// two-sided bound gaps) changed since the last successful solve on this
-// solver. If the cached optimal basis is still primal feasible under the new
-// b, the new optimum is produced with zero pivots; otherwise — or when no
-// factors are cached, the structure fingerprint differs, or a changed row
-// has no slack column — it falls back to Solve's normal warm/cold path,
-// which is always correct.
+// ResolveRHS re-solves p assuming ONLY constraint right-hand sides changed
+// since the last successful solve on this solver. It recomputes x_B under the
+// new b from the retained factors: a still-primal-feasible basis is a
+// zero-pivot hit, an infeasible one goes to the dual simplex. When no basis
+// is retained, the retained form belongs to a different Problem, or the dual
+// simplex ends anything but optimal, it falls back to Solve's normal
+// warm/cold path, which is always correct.
 //
 // Contract: between the cached solve and this call, the caller must not have
-// changed variable count or one-sided bounds, constraint count, relations,
+// changed variable count or bounds, constraint count, relations,
 // coefficients, or the objective (use SetConstraintRHS for the intended
 // mutation). The fast path cannot detect coefficient edits and would return
-// a stale vertex; structural edits are caught by the fingerprint and fall
-// back. Requires KeepRHSFactors to have been set before the cached solve.
+// a stale vertex; shape edits are caught by the fingerprint and fall back.
 func (s *Solver) ResolveRHS(p *Problem) *Solution {
-	if s.lastRevised && s.resolveMethod(p) != MethodDense {
-		return s.resolveRHSRevised(p)
-	}
-	if !s.rhsReady || len(p.vars) != s.rhsNV || len(p.cons) != s.rhsNC ||
-		len(s.warmBasis) != s.rhsM {
-		return s.Solve(p)
-	}
-	s.Stats.RHSAttempts.Add(1)
-	var t0 time.Time
-	if s.Obs != nil {
-		t0 = time.Now()
-	}
-	m := s.rhsM
-	bNew := s.buildRHS(p)
-	if bNew == nil || len(bNew) != m {
-		// A bound flipped between two-sided and one-sided: structure changed.
-		return s.Solve(p)
-	}
-
-	// xB_new = xB_old + Σ_r Δb_r · B⁻¹e_r over the changed rows.
-	s.rhsXBNew = growF(s.rhsXBNew, m)
-	xb := s.rhsXBNew
-	copy(xb, s.rhsXB[:m])
-	for r := 0; r < m; r++ {
-		d := bNew[r] - s.rhsPrevB[r]
-		if d == 0 {
-			continue
-		}
-		if s.rowSlackCol[r] < 0 {
-			return s.Solve(p) // EQ row changed: no B⁻¹ column cached
-		}
-		for i := 0; i < m; i++ {
-			xb[i] += d * s.rhsBinv[i*m+r]
-		}
-	}
-	for i := 0; i < m; i++ {
-		if xb[i] < -rhsFeasEps {
-			// Basis went primal infeasible under the new b: the cached vertex
-			// is no longer optimal, pivoting is required — fall back.
-			return s.Solve(p)
-		}
-	}
-
-	// Hit: same basis, dual feasibility untouched, primal feasibility just
-	// verified — the cached basis is optimal for the new b.
-	s.Stats.Solves.Add(1)
-	s.Stats.RHSHits.Add(1)
-	for i := 0; i < m; i++ {
-		if xb[i] < 0 {
-			xb[i] = 0
-		}
-	}
-	copy(s.rhsPrevB, bNew)
-	copy(s.rhsXB, xb)
-	total := s.rhsTotal
-	s.xstd = growF(s.xstd, total)
-	for i := range s.xstd {
-		s.xstd[i] = 0
-	}
-	for i, bi := range s.warmBasis {
-		if bi < total {
-			s.xstd[bi] = xb[i]
-		}
-	}
-	sol := &Solution{Status: StatusOptimal}
-	s.extract(p, total, sol)
-	if s.Obs != nil {
-		s.Obs.Histogram("lp.rhs.ms").Observe(float64(time.Since(t0)) / float64(time.Millisecond))
-	}
-	return sol
-}
-
-// resolveRHSRevised is the revised-engine RHS-delta path. An RHS change
-// leaves reduced costs untouched, so the retained basis stays DUAL feasible
-// unconditionally: recompute x_B under the new b, and either it is still
-// primal feasible (zero-pivot hit, same as the dense fast path) or the dual
-// simplex repairs the bound violations in a few pivots — PR 5's warm/cold
-// fallback becomes a handful of dual pivots. Anything non-optimal falls back
-// to the full Solve path, which is always correct.
-func (s *Solver) resolveRHSRevised(p *Problem) *Solution {
 	rv := s.rev
 	// The sfProb identity check matters beyond hygiene: rebuildRHS refreshes
 	// only b, so a retained form built from a DIFFERENT problem of the same

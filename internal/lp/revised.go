@@ -9,10 +9,10 @@ import (
 // This file implements the sparse revised simplex: a bounded-variable primal
 // simplex (composite phase 1 + phase 2) and a dual simplex, both driven
 // through the factorized basis of basis.go over the CSC storage of
-// sparse.go. Where the dense engine streams O(rows×cols) tableau memory per
-// pivot, the revised engine touches O(nnz) — the entering column, one BTRAN,
-// one FTRAN and a pricing pass — which is what lets tegen-grown topologies
-// with tens of thousands of rows solve interactively.
+// sparse.go. Where a dense tableau (the test oracle) streams O(rows×cols)
+// memory per pivot, the revised engine touches O(nnz) — the entering column,
+// one BTRAN, one FTRAN and a pricing pass — which is what lets tegen-grown
+// topologies with tens of thousands of rows solve interactively.
 //
 // Design notes (DESIGN.md §11): nonbasic variables sit at a bound (or at
 // zero when free), so two-sided boxes never materialize as rows; phase 1
@@ -23,9 +23,9 @@ import (
 // pivots instead of a cold restart.
 
 const (
-	// primalTol mirrors the dense warm-start feasibility tolerance.
+	// primalTol mirrors the dense oracle's warm-start feasibility tolerance.
 	primalTol = 1e-7
-	// dualTol is the reduced-cost optimality tolerance (dense eps).
+	// dualTol is the reduced-cost optimality tolerance (the package eps).
 	dualTol = 1e-9
 	// dualStartTol is the looser test for "is this basis still dual feasible
 	// enough to hand to the dual simplex" on warm starts.
@@ -659,7 +659,7 @@ func (rv *revised) primal(stats *SolverStats, maxIter int, deadline time.Time) (
 			return StatusUnbounded, p1, p2
 		}
 
-		// Stall bookkeeping mirrors the dense engine: a run of degenerate
+		// Stall bookkeeping mirrors the dense oracle: a run of degenerate
 		// steps longer than the window engages Bland's rule.
 		if bestT <= stallEps {
 			stall++

@@ -25,13 +25,23 @@ func benchTransport(p *Problem, r *rng.RNG) (d, caps []float64) {
 	return d, caps
 }
 
-// BenchmarkColdSolve pits the two engines on identical cold solves of the
-// same instance and reports pivot counts alongside wall time.
+// BenchmarkColdSolve pits the production revised engine against the dense
+// test oracle on identical cold solves of the same instance and reports
+// pivot counts alongside wall time.
 func BenchmarkColdSolve(b *testing.B) {
 	for _, eng := range []struct {
-		name string
-		m    Method
-	}{{"dense", MethodDense}, {"revised", MethodRevised}} {
+		name  string
+		solve func(*Problem) (Status, int64)
+	}{
+		{"dense", func(p *Problem) (Status, int64) {
+			s := &denseSolver{}
+			return s.Solve(p).Status, s.Stats.Pivots.Load()
+		}},
+		{"revised", func(p *Problem) (Status, int64) {
+			s := NewSolver()
+			return s.Solve(p).Status, s.Stats.Pivots.Load()
+		}},
+	} {
 		b.Run(eng.name, func(b *testing.B) {
 			b.ReportAllocs()
 			p := NewProblem()
@@ -39,12 +49,11 @@ func BenchmarkColdSolve(b *testing.B) {
 			var pivots int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := NewSolver()
-				s.Method = eng.m
-				if sol := s.Solve(p); sol.Status != StatusOptimal {
-					b.Fatalf("status %v", sol.Status)
+				st, pv := eng.solve(p)
+				if st != StatusOptimal {
+					b.Fatalf("status %v", st)
 				}
-				pivots += s.Stats.Pivots.Load()
+				pivots += pv
 			}
 			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 		})
@@ -54,10 +63,10 @@ func BenchmarkColdSolve(b *testing.B) {
 // BenchmarkResolveRHS measures the tentpole's RHS-delta contract. Each op
 // perturbs the demand rows of a solved transportation LP and re-solves:
 //
-//   - dual: ResolveRHS on the retained revised basis — a handful of
+//   - dual: ResolveRHS on the retained basis — a handful of
 //     dual-simplex pivots (dual-pivots/op) when the perturbation breaks
 //     primal feasibility, zero when it doesn't;
-//   - cold: a pristine revised Solve of the identical perturbed instance —
+//   - cold: a pristine Solve of the identical perturbed instance —
 //     the pivot count the dual path is saving (pivots/op).
 //
 // The committed BENCH_PR6.json carries the measured pivot-count win.
@@ -68,7 +77,6 @@ func BenchmarkResolveRHS(b *testing.B) {
 		p := NewProblem()
 		d, _ := benchTransport(p, rng.New(11))
 		s := NewSolver()
-		s.Method = MethodRevised
 		if sol := s.Solve(p); sol.Status != StatusOptimal {
 			b.Fatalf("status %v", sol.Status)
 		}
@@ -98,7 +106,6 @@ func BenchmarkResolveRHS(b *testing.B) {
 				p.SetConstraintRHS(row, d[row]*r.Uniform(0.5, 1.3))
 			}
 			s := NewSolver()
-			s.Method = MethodRevised
 			if sol := s.Solve(p); sol.Status != StatusOptimal {
 				b.Fatalf("status %v", sol.Status)
 			}

@@ -87,8 +87,8 @@ func TestRevisedMatchesDenseRandom(t *testing.T) {
 	for _, sh := range shapes {
 		for seed := uint64(1); seed <= 40; seed++ {
 			p := buildRandomBoxLP(sh.vars, sh.cons, seed*1000+uint64(sh.vars))
-			dense := &Solver{Method: MethodDense}
-			rev := &Solver{Method: MethodRevised}
+			dense := &denseSolver{}
+			rev := &Solver{}
 			ds := dense.Solve(p)
 			rs := rev.Solve(p)
 			if ds.Status != rs.Status {
@@ -110,8 +110,8 @@ func TestRevisedMatchesDenseRandom(t *testing.T) {
 func TestRevisedMatchesDenseNonNegative(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		p := buildRandomLP(60, 45, seed)
-		ds := (&Solver{Method: MethodDense}).Solve(p)
-		rs := (&Solver{Method: MethodRevised}).Solve(p)
+		ds := (&denseSolver{}).Solve(p)
+		rs := (&Solver{}).Solve(p)
 		if ds.Status != StatusOptimal || rs.Status != StatusOptimal {
 			t.Fatalf("seed %d: dense %v revised %v", seed, ds.Status, rs.Status)
 		}
@@ -126,7 +126,7 @@ func TestRevisedMatchesDenseNonNegative(t *testing.T) {
 // cold objectives.
 func TestRevisedWarmStart(t *testing.T) {
 	r := rng.New(11)
-	warm := &Solver{Method: MethodRevised}
+	warm := &Solver{}
 	p := NewProblem()
 	base := []float64{3, 5, 2}
 	caps := []float64{4, 4, 4, 4}
@@ -141,7 +141,7 @@ func TestRevisedWarmStart(t *testing.T) {
 			t.Fatalf("iter %d: warm revised status %v", iter, got.Status)
 		}
 		buildTransportLP(p, d, caps)
-		want := (&Solver{Method: MethodDense}).Solve(p)
+		want := (&denseSolver{}).Solve(p)
 		if want.Status != StatusOptimal {
 			t.Fatalf("iter %d: dense oracle status %v", iter, want.Status)
 		}
@@ -177,7 +177,7 @@ func TestRevisedInfeasible(t *testing.T) {
 	obj := NewExpr()
 	obj.Add(1, x)
 	p.SetObjective(Minimize, obj)
-	s := (&Solver{Method: MethodRevised}).Solve(p)
+	s := (&Solver{}).Solve(p)
 	if s.Status != StatusInfeasible {
 		t.Fatalf("status %v, want infeasible", s.Status)
 	}
@@ -195,7 +195,7 @@ func TestRevisedUnbounded(t *testing.T) {
 	obj.Add(1, x)
 	obj.Add(1, y)
 	p.SetObjective(Maximize, obj)
-	s := (&Solver{Method: MethodRevised}).Solve(p)
+	s := (&Solver{}).Solve(p)
 	if s.Status != StatusUnbounded {
 		t.Fatalf("status %v, want unbounded", s.Status)
 	}
@@ -207,7 +207,7 @@ func TestRevisedUnbounded(t *testing.T) {
 // to 1e-9 rel while never exceeding the cold solve's pivot count.
 func TestRevisedDualResolveRHS(t *testing.T) {
 	r := rng.New(23)
-	s := &Solver{Method: MethodRevised}
+	s := &Solver{}
 	p := NewProblem()
 	base := []float64{6, 9, 4}
 	caps := []float64{7, 7, 7, 7}
@@ -233,7 +233,7 @@ func TestRevisedDualResolveRHS(t *testing.T) {
 		dualPivots := int(s.Stats.DualPivots.Load() - preDual)
 		dualTotal += dualPivots
 
-		cold := &Solver{Method: MethodRevised}
+		cold := &Solver{}
 		want := cold.Solve(p)
 		if want.Status != StatusOptimal {
 			t.Fatalf("iter %d: pristine cold status %v", iter, want.Status)
@@ -261,35 +261,26 @@ func TestRevisedDualResolveRHS(t *testing.T) {
 		dualTotal, s.Stats.DualResolves.Load(), s.Stats.RHSHits.Load())
 }
 
-// TestRevisedPivotPhaseSplit checks the new SolverStats phase counters add
-// up on both engines.
+// TestRevisedPivotPhaseSplit checks the SolverStats phase counters add up
+// on the production engine and on the dense oracle.
 func TestRevisedPivotPhaseSplit(t *testing.T) {
-	for _, m := range []Method{MethodDense, MethodRevised} {
-		s := &Solver{Method: m}
-		p := buildRandomBoxLP(20, 14, 99)
-		if got := s.Solve(p); got.Status == StatusOptimal {
-			snap := s.Stats.Snapshot()
-			if snap.Phase1Pivots+snap.Phase2Pivots != snap.Pivots {
-				t.Fatalf("%v: phase1 %d + phase2 %d != pivots %d",
-					m, snap.Phase1Pivots, snap.Phase2Pivots, snap.Pivots)
-			}
+	p := buildRandomBoxLP(20, 14, 99)
+	rev := NewSolver()
+	dense := &denseSolver{}
+	for name, eng := range map[string]struct {
+		st    Status
+		stats *SolverStats
+	}{
+		"revised": {rev.Solve(p).Status, &rev.Stats},
+		"dense":   {dense.Solve(p).Status, &dense.Stats},
+	} {
+		if eng.st != StatusOptimal {
+			continue
 		}
-	}
-}
-
-// TestParseMethod covers the flag spellings.
-func TestParseMethod(t *testing.T) {
-	cases := map[string]Method{"auto": MethodAuto, "": MethodAuto, "dense": MethodDense, "revised": MethodRevised, "sparse": MethodRevised}
-	for in, want := range cases {
-		got, ok := ParseMethod(in)
-		if !ok || got != want {
-			t.Fatalf("ParseMethod(%q) = %v, %v", in, got, ok)
+		snap := eng.stats.Snapshot()
+		if snap.Phase1Pivots+snap.Phase2Pivots != snap.Pivots {
+			t.Fatalf("%s: phase1 %d + phase2 %d != pivots %d",
+				name, snap.Phase1Pivots, snap.Phase2Pivots, snap.Pivots)
 		}
-	}
-	if _, ok := ParseMethod("bogus"); ok {
-		t.Fatal("ParseMethod accepted bogus")
-	}
-	if MethodRevised.String() != "revised" || MethodDense.String() != "dense" || MethodAuto.String() != "auto" {
-		t.Fatal("Method.String mismatch")
 	}
 }

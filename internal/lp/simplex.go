@@ -1,6 +1,8 @@
 // Package lp implements a small linear-programming toolkit: a modeling layer
-// (variables, linear constraints, min/max objectives) and a two-phase dense
-// primal simplex solver with optimal-basis warm-starting (see Solver).
+// (variables, linear constraints, min/max objectives) and a sparse
+// bounded-variable revised simplex solver with optimal-basis warm-starting
+// and dual-simplex re-solves (see Solver). A dense two-phase tableau simplex
+// lives in the package's test files as the equivalence oracle.
 //
 // The paper's pipeline needs LP in three places: computing the optimal MLU
 // that the performance ratio (Eq. 2) compares against, the total-flow and
@@ -11,8 +13,6 @@ package lp
 import (
 	"errors"
 	"fmt"
-	"math"
-	"time"
 )
 
 // Status describes the outcome of a solve.
@@ -46,8 +46,7 @@ func (s Status) String() string {
 }
 
 const (
-	eps      = 1e-9
-	pivotEps = 1e-9
+	eps = 1e-9
 
 	// stallEps is the ratio-test step θ below which a pivot counts as
 	// degenerate (the entering variable cannot move, so the objective is
@@ -63,178 +62,6 @@ const (
 	stallEps    = 1e-9
 	stallWindow = 32
 )
-
-// runSimplex optimizes the tableau in place. Columns >= allowCols are never
-// chosen to enter the basis. z is caller-provided scratch of at least the
-// tableau width (it holds the reduced-cost row). Returns the objective value
-// for the given cost vector, the number of pivots performed (the telemetry
-// layer's per-solve work measure) and a status. The deadline, when set, is
-// polled every 64 pivots — often enough to bound overruns, rare enough that
-// the clock read never shows up in profiles.
-func runSimplex(t [][]float64, basis []int, cost []float64, allowCols, maxIter int, deadline time.Time, z []float64) (float64, int, Status) {
-	m := len(t)
-	if m == 0 {
-		return 0, 0, StatusOptimal
-	}
-	pivots := 0
-	width := len(t[0])
-	// Reduced-cost row: z[j] = cost[j] - cB · column j. Maintain it
-	// explicitly alongside the tableau.
-	z = z[:width]
-	copy(z, cost)
-	zVal := 0.0
-	for i, bi := range basis {
-		cb := cost[bi]
-		if cb == 0 {
-			continue
-		}
-		row := t[i]
-		for j := 0; j < width; j++ {
-			z[j] -= cb * row[j]
-		}
-		zVal += cb * row[width-1]
-	}
-
-	// Anti-cycling: Dantzig's rule is fastest but can cycle on degenerate
-	// vertices. Instead of flipping to Bland's rule at an arbitrary iteration
-	// count (which lets a cycle near the start spin for half the budget),
-	// watch for stalling: a run of consecutive degenerate pivots longer than
-	// the window engages Bland's rule — which provably terminates — until
-	// real progress resumes.
-	useBland := false
-	stall := 0
-	window := stallWindow
-	if 2*m > window {
-		window = 2 * m
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		if !deadline.IsZero() && iter%64 == 0 && time.Now().After(deadline) {
-			return 0, pivots, StatusIterLimit
-		}
-		// Entering variable.
-		enter := -1
-		best := -eps
-		for j := 0; j < allowCols; j++ {
-			if z[j] < -eps {
-				if useBland {
-					enter = j
-					break
-				}
-				if z[j] < best {
-					best = z[j]
-					enter = j
-				}
-			}
-		}
-		if enter < 0 {
-			// Optimal. Recompute objective from basis values.
-			obj := 0.0
-			for i, bi := range basis {
-				obj += cost[bi] * t[i][width-1]
-			}
-			return obj, pivots, StatusOptimal
-		}
-		// Ratio test.
-		leave := -1
-		bestRatio := math.Inf(1)
-		for i := 0; i < m; i++ {
-			if t[i][enter] > pivotEps {
-				ratio := t[i][width-1] / t[i][enter]
-				if ratio < bestRatio-eps || (ratio < bestRatio+eps && (leave < 0 || basis[i] < basis[leave])) {
-					bestRatio = ratio
-					leave = i
-				}
-			}
-		}
-		if leave < 0 {
-			// No row limits the entering column. The incrementally updated
-			// reduced-cost row drifts over long pivot sequences, so a column
-			// whose exact reduced cost is ≈ 0 can scan as improving; with no
-			// positive tableau entries it would then read as "unbounded" on a
-			// provably bounded problem (demand vectors spanning many orders of
-			// magnitude trigger exactly this). Recompute the row from the
-			// tableau before trusting the verdict.
-			recomputeReducedCosts(t, basis, cost, z, width)
-			if z[enter] < -eps {
-				return 0, pivots, StatusUnbounded
-			}
-			continue // refreshed row: rescan entering candidates
-		}
-		// Stall accounting: a degenerate pivot (θ ≈ 0) leaves the objective
-		// unchanged, and a run of them is a potential cycle — switch to
-		// Bland's rule, which provably terminates, and switch back once the
-		// iterate actually moves again. Bland picks the FIRST negative reduced
-		// cost, so unlike Dantzig it will happily pivot on an eps-scale drift
-		// artifact; refresh the z row from the tableau on engagement and
-		// rescan, so its choices are made on clean data.
-		if bestRatio <= stallEps {
-			stall++
-			if stall >= window && !useBland {
-				useBland = true
-				recomputeReducedCosts(t, basis, cost, z, width)
-				continue
-			}
-		} else {
-			stall = 0
-			useBland = false
-		}
-		pivot(t, basis, leave, enter)
-		pivots++
-		// Update reduced costs.
-		factor := z[enter]
-		if factor != 0 {
-			row := t[leave]
-			for j := 0; j < width; j++ {
-				z[j] -= factor * row[j]
-			}
-		}
-	}
-	return 0, pivots, StatusIterLimit
-}
-
-// recomputeReducedCosts rebuilds z[j] = cost[j] − cB·column j exactly from
-// the current tableau, discarding accumulated incremental-update error.
-func recomputeReducedCosts(t [][]float64, basis []int, cost, z []float64, width int) {
-	copy(z, cost[:width])
-	for i, bi := range basis {
-		cb := cost[bi]
-		if cb == 0 {
-			continue
-		}
-		row := t[i]
-		for j := 0; j < width; j++ {
-			z[j] -= cb * row[j]
-		}
-	}
-}
-
-// pivot performs a Gauss-Jordan pivot at (row, col) and records the basis
-// change.
-func pivot(t [][]float64, basis []int, row, col int) {
-	width := len(t[0])
-	pr := t[row]
-	pv := pr[col]
-	inv := 1 / pv
-	for j := 0; j < width; j++ {
-		pr[j] *= inv
-	}
-	pr[col] = 1 // kill round-off
-	for i := range t {
-		if i == row {
-			continue
-		}
-		f := t[i][col]
-		if f == 0 {
-			continue
-		}
-		ri := t[i]
-		for j := 0; j < width; j++ {
-			ri[j] -= f * pr[j]
-		}
-		ri[col] = 0
-	}
-	basis[row] = col
-}
 
 // ErrBadModel reports a malformed model (e.g. unknown variable).
 var ErrBadModel = errors.New("lp: malformed model")

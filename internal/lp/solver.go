@@ -43,24 +43,22 @@ type SolverStats struct {
 	BoundHits atomic.Int64
 	// Phase1Pivots and Phase2Pivots split Pivots by simplex phase: feasibility
 	// restoration vs optimization. Warm solves that start feasible contribute
-	// only to Phase2Pivots. (Dense warm pivots count as phase 2; dense cold
-	// solves split by their two tableau phases.)
+	// only to Phase2Pivots.
 	Phase1Pivots atomic.Int64
 	Phase2Pivots atomic.Int64
-	// DualPivots counts dual-simplex pivots (revised engine only): bound
-	// violations repaired from a retained dual-feasible basis instead of a
-	// cold restart.
+	// DualPivots counts dual-simplex pivots: bound violations repaired from
+	// a retained dual-feasible basis instead of a cold restart.
 	DualPivots atomic.Int64
 	// DualResolves counts ResolveRHS calls completed by the dual simplex —
 	// the basis went primal infeasible under the new RHS but was repaired in
 	// DualPivots pivots without a cold solve.
 	DualResolves atomic.Int64
-	// Refactors counts basis refactorizations in the revised engine (periodic
-	// RefactorEvery triggers, stability triggers, and warm/cold starts).
+	// Refactors counts basis refactorizations (periodic RefactorEvery
+	// triggers, stability triggers, and warm/cold starts).
 	Refactors atomic.Int64
 	// EtaLen is a gauge, not a counter: the eta-file length after the most
-	// recent revised-engine solve. Read with Load; Snapshot carries it
-	// verbatim and Sub keeps the newer value.
+	// recent solve. Read with Load; Snapshot carries it verbatim and Sub
+	// keeps the newer value.
 	EtaLen atomic.Int64
 }
 
@@ -160,62 +158,20 @@ func (a SolverStatsSnapshot) WarmHitRatio() float64 {
 	return float64(a.WarmHits) / float64(a.WarmAttempts)
 }
 
-// Method selects the simplex engine a Solver runs.
-type Method int
-
-const (
-	// MethodAuto picks per problem: dense below autoRevisedCells estimated
-	// tableau cells (exactness-oracle territory), revised above.
-	MethodAuto Method = iota
-	// MethodDense forces the two-phase dense tableau simplex.
-	MethodDense
-	// MethodRevised forces the sparse revised simplex (revised.go).
-	MethodRevised
-)
-
-// autoRevisedCells is the estimated dense tableau size (rows × columns,
-// artificials included) past which MethodAuto dispatches to the revised
-// engine: ~4M cells ≈ 32 MB of tableau, the point where per-pivot memory
-// traffic dwarfs the revised engine's O(nnz) iteration cost. Abilene- and
-// Geant-scale flow LPs stay dense; tegen-grown 100+ node topologies go
-// revised.
-const autoRevisedCells = 1 << 22
-
-func (m Method) String() string {
-	switch m {
-	case MethodDense:
-		return "dense"
-	case MethodRevised:
-		return "revised"
-	default:
-		return "auto"
-	}
-}
-
-// ParseMethod maps the -lp flag spellings to a Method.
-func ParseMethod(name string) (Method, bool) {
-	switch name {
-	case "auto", "":
-		return MethodAuto, true
-	case "dense":
-		return MethodDense, true
-	case "revised", "sparse":
-		return MethodRevised, true
-	}
-	return MethodAuto, false
-}
-
-// Solver runs the two-phase dense primal simplex over reusable workspace and
-// warm-starts successive solves from the previous optimal basis.
+// Solver runs the sparse bounded-variable revised simplex (revised.go) over
+// reusable workspace and warm-starts successive solves from the previous
+// optimal basis.
 //
-// Warm-starting is correctness-safe by construction: the cached basis is only
-// a candidate starting vertex. The solver rebuilds the CURRENT problem's
-// tableau, canonicalizes it around the cached basis (Gauss-Jordan with row
-// swaps), and verifies primal feasibility (b ≥ 0). If the basis is singular
-// or infeasible for the new data — or phase 2 ends anything but optimal — it
-// falls back to the full two-phase cold solve. Phase 2 always optimizes the
-// current objective to convergence, so a stale basis can cost time, never
-// correctness.
+// Warm-starting is correctness-safe by construction: the retained basis and
+// nonbasic statuses are only a candidate starting point. When the problem
+// shape matches, the solver re-factorizes the basis against the CURRENT
+// problem; a still-primal-feasible basis goes straight to phase 2, a
+// primal-infeasible but dual-feasible one to the dual simplex, anything else
+// through composite phase 1 — and on any failure it falls back to a cold
+// crash-basis solve, so a stale basis costs time, never correctness.
+//
+// A dense two-phase tableau simplex in the test files (dense_oracle_test.go)
+// is the equivalence oracle this engine is pinned against.
 //
 // A Solver is not safe for concurrent use; pool per goroutine.
 type Solver struct {
@@ -227,64 +183,14 @@ type Solver struct {
 	// unconditionally and enabled per run.
 	Obs *obs.Registry
 
-	// Method selects the engine: MethodAuto (default) dispatches per problem
-	// by estimated dense tableau size, MethodDense/MethodRevised force one.
-	Method Method
-
 	// RefactorEvery bounds the revised engine's eta-file length between basis
 	// refactorizations; zero means DefaultRefactorEvery. Smaller values trade
 	// refactorization time for FTRAN/BTRAN speed and numerical freshness.
 	RefactorEvery int
 
 	// rev is the revised-simplex engine state, retained across solves for
-	// warm starts and dual-simplex RHS re-solves; lastRevised records which
-	// engine produced the last successful solve so ResolveRHS routes to the
-	// matching fast path.
-	rev         *revised
-	lastRevised bool
-
-	// standard-form workspace: a is m×total row-major, b length m, c length
-	// total. Rebuilt from the Problem on every Solve.
-	forms []xform
-	a     []float64
-	b     []float64
-	c     []float64
-
-	// tableau workspace
-	tabBuf []float64
-	tab    [][]float64
-	basis  []int
-	cost   []float64
-	z      []float64
-	xstd   []float64
-
-	// cached optimal basis of the previous solve
-	warmBasis []int
-	warmTotal int
-
-	// KeepRHSFactors, when set before solving, makes every successful solve
-	// additionally cache the slack-column block of the final tableau (the
-	// columns of B⁻¹ reachable through slack/surplus variables) so a later
-	// ResolveRHS can re-solve an RHS-only perturbation with zero pivots.
-	// Costs one O(m²) copy per successful solve; leave it off for one-shot
-	// problems.
-	KeepRHSFactors bool
-
-	// per-row slack bookkeeping of the last buildStandard: the standard-form
-	// column of row r's slack/surplus variable (-1 for EQ rows) and its sign
-	// (+1 slack, -1 surplus).
-	rowSlackCol  []int
-	rowSlackSign []float64
-
-	// RHS-delta factor cache (valid when rhsReady; see resolve.go)
-	rhsReady       bool
-	rhsNV, rhsNC   int // structure fingerprint: len(vars), len(cons)
-	rhsM, rhsTotal int
-	rhsPrevB       []float64 // standard-form b of the cached solve
-	rhsXB          []float64 // basic-variable values (final tableau RHS column)
-	rhsBinv        []float64 // m×m row-major; column r valid iff rowSlackCol[r] >= 0
-	rhsBNew        []float64 // scratch: rebuilt standard-form b
-	rhsXBNew       []float64 // scratch: candidate basic values under the new b
+	// warm starts and dual-simplex RHS/bound re-solves.
+	rev *revised
 }
 
 // NewSolver returns an empty solver.
@@ -292,23 +198,12 @@ func NewSolver() *Solver { return &Solver{} }
 
 // solverPool backs Problem.Solve for callers that do not hold their own
 // Solver. Pooled solvers keep their workspace AND their warm basis; a basis
-// from an unrelated problem is rejected by the shape check or the
-// feasibility check and simply falls back cold.
+// from an unrelated problem is rejected by the shape check or fails its
+// refactorization/feasibility checks and simply falls back cold.
 var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 
 func getPooledSolver() *Solver  { return solverPool.Get().(*Solver) }
 func putPooledSolver(s *Solver) { solverPool.Put(s) }
-
-// xform maps one model variable to standard-form columns:
-//
-//	x = shift + sign·u            (one bound finite)
-//	x = u⁺ − u⁻                   (free: negCol ≥ 0)
-type xform struct {
-	posCol int
-	negCol int
-	shift  float64
-	sign   float64
-}
 
 func growF(buf []float64, n int) []float64 {
 	if cap(buf) < n {
@@ -317,415 +212,9 @@ func growF(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-func growI(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-// buildStandard converts p to standard form (min c·x, A x = b before slack
-// signs, x ≥ 0) into the solver's workspace, returning the row count and
-// total column count. Conversion rules match the modeling layer: shifted
-// variables for finite bounds, split variables for free ones, slack/surplus
-// columns for inequalities, and explicit rows for two-sided bounds.
-func (s *Solver) buildStandard(p *Problem) (m, total int) {
-	nv := len(p.vars)
-	if cap(s.forms) < nv {
-		s.forms = make([]xform, nv)
-	}
-	s.forms = s.forms[:nv]
-	ncols := 0
-	for i, v := range p.vars {
-		switch {
-		case !math.IsInf(v.lo, -1):
-			s.forms[i] = xform{posCol: ncols, negCol: -1, shift: v.lo, sign: 1}
-			ncols++
-		case !math.IsInf(v.hi, 1):
-			s.forms[i] = xform{posCol: ncols, negCol: -1, shift: v.hi, sign: -1}
-			ncols++
-		default:
-			s.forms[i] = xform{posCol: ncols, negCol: ncols + 1, shift: 0, sign: 1}
-			ncols += 2
-		}
-	}
-
-	// Count rows and slacks: model constraints plus bound rows for variables
-	// whose two-sided bounds the shift alone cannot encode.
-	m = len(p.cons)
-	nslack := 0
-	for _, c := range p.cons {
-		if c.rel != EQ {
-			nslack++
-		}
-	}
-	for _, v := range p.vars {
-		if !math.IsInf(v.lo, -1) && !math.IsInf(v.hi, 1) {
-			if v.hi > v.lo {
-				m++
-				nslack++ // lo + u ≤ hi gains a slack
-			} else {
-				m++ // u = 0
-			}
-		}
-	}
-	total = ncols + nslack
-
-	s.a = growF(s.a, m*total)
-	for i := range s.a {
-		s.a[i] = 0
-	}
-	s.b = growF(s.b, m)
-	s.c = growF(s.c, total)
-	for i := range s.c {
-		s.c[i] = 0
-	}
-
-	s.rowSlackCol = growI(s.rowSlackCol, m)
-	s.rowSlackSign = growF(s.rowSlackSign, m)
-	si := ncols // next slack column
-	row := 0
-	for _, con := range p.cons {
-		ar := s.a[row*total : (row+1)*total]
-		rhs := con.rhs
-		for _, t := range con.expr.Terms {
-			if int(t.Var) < 0 || int(t.Var) >= nv {
-				panic(ErrBadModel)
-			}
-			f := s.forms[t.Var]
-			ar[f.posCol] += t.Coeff * f.sign
-			if f.negCol >= 0 {
-				ar[f.negCol] -= t.Coeff
-			}
-			rhs -= t.Coeff * f.shift
-		}
-		s.rowSlackCol[row], s.rowSlackSign[row] = -1, 0
-		switch con.rel {
-		case LE:
-			ar[si] = 1
-			s.rowSlackCol[row], s.rowSlackSign[row] = si, 1
-			si++
-		case GE:
-			ar[si] = -1
-			s.rowSlackCol[row], s.rowSlackSign[row] = si, -1
-			si++
-		}
-		s.b[row] = rhs
-		row++
-	}
-	for i, v := range p.vars {
-		if !math.IsInf(v.lo, -1) && !math.IsInf(v.hi, 1) {
-			ar := s.a[row*total : (row+1)*total]
-			ar[s.forms[i].posCol] = 1
-			s.rowSlackCol[row], s.rowSlackSign[row] = -1, 0
-			if v.hi > v.lo {
-				ar[si] = 1
-				s.rowSlackCol[row], s.rowSlackSign[row] = si, 1
-				si++
-				s.b[row] = v.hi - v.lo
-			} else {
-				s.b[row] = 0
-			}
-			row++
-		}
-	}
-	s.rhsNV, s.rhsNC = nv, len(p.cons)
-
-	sense := 1.0
-	if p.objSense == Maximize {
-		sense = -1
-	}
-	for _, t := range p.objExpr.Terms {
-		f := s.forms[t.Var]
-		s.c[f.posCol] += sense * t.Coeff * f.sign
-		if f.negCol >= 0 {
-			s.c[f.negCol] -= sense * t.Coeff
-		}
-	}
-	return m, total
-}
-
-// growTab shapes the tableau workspace to m rows of the given width,
-// zeroed.
-func (s *Solver) growTab(m, width int) [][]float64 {
-	need := m * width
-	s.tabBuf = growF(s.tabBuf, need)
-	for i := range s.tabBuf {
-		s.tabBuf[i] = 0
-	}
-	if cap(s.tab) < m {
-		s.tab = make([][]float64, m)
-	}
-	t := s.tab[:m]
-	for i := range t {
-		t[i] = s.tabBuf[i*width : (i+1)*width : (i+1)*width]
-	}
-	return t
-}
-
-// Solve optimizes p with the engine selected by Method: the dense two-phase
-// tableau simplex or the sparse revised simplex, warm-starting from the
-// previous optimal basis when shapes match either way.
+// Solve optimizes p, warm-starting from the previous optimal basis when the
+// problem shape matches (see Solver).
 func (s *Solver) Solve(p *Problem) *Solution {
-	if s.resolveMethod(p) == MethodRevised {
-		return s.solveRevised(p)
-	}
-	return s.solveDense(p)
-}
-
-// resolveMethod applies MethodAuto's size-based dispatch: estimate the dense
-// standard-form tableau (bound rows, split frees, slacks, artificials) and
-// go revised once it would exceed autoRevisedCells.
-func (s *Solver) resolveMethod(p *Problem) Method {
-	switch s.Method {
-	case MethodDense:
-		return MethodDense
-	case MethodRevised:
-		return MethodRevised
-	}
-	rows := len(p.cons)
-	cols := 0
-	for i := range p.vars {
-		v := &p.vars[i]
-		cols++
-		loFin, hiFin := !math.IsInf(v.lo, -1), !math.IsInf(v.hi, 1)
-		if loFin && hiFin {
-			rows++ // bound row
-			cols++ // its slack
-		} else if !loFin && !hiFin {
-			cols++ // split free variable
-		}
-	}
-	cols += len(p.cons) // slacks/surpluses, upper bound
-	if rows*(cols+rows+1) >= autoRevisedCells {
-		return MethodRevised
-	}
-	return MethodDense
-}
-
-// solveDense converts p to standard form and runs the dense tableau simplex,
-// warm-starting from the previous optimal basis when shapes match.
-func (s *Solver) solveDense(p *Problem) *Solution {
-	s.Stats.Solves.Add(1)
-	s.lastRevised = false
-	var t0 time.Time
-	if s.Obs != nil {
-		t0 = time.Now()
-	}
-	m, total := s.buildStandard(p)
-
-	maxIter := p.MaxIter
-	if maxIter == 0 {
-		maxIter = 200 * (total + m + 10)
-	}
-
-	sol := &Solution{}
-	if m == 0 {
-		for _, cj := range s.c {
-			if cj < -eps {
-				sol.Status = StatusUnbounded
-				return sol
-			}
-		}
-		sol.Status = StatusOptimal
-		s.xstd = growF(s.xstd, total)
-		for i := range s.xstd {
-			s.xstd[i] = 0
-		}
-		s.extract(p, total, sol)
-		return sol
-	}
-
-	st := StatusIterLimit
-	p1, p2 := 0, 0
-	warmOK := false
-	if len(s.warmBasis) == m && s.warmTotal == total {
-		s.Stats.WarmAttempts.Add(1)
-		var wp int
-		if st, wp = s.warmSolve(m, total, maxIter, p); st == StatusOptimal {
-			warmOK = true
-			s.Stats.WarmHits.Add(1)
-		}
-		p2 += wp // warm starts begin feasible: all pivots are phase 2
-	}
-	if !warmOK {
-		s.Stats.ColdSolves.Add(1)
-		var cp1, cp2 int
-		st, cp1, cp2 = s.coldSolve(m, total, maxIter, p)
-		p1 += cp1
-		p2 += cp2
-	}
-	pivots := p1 + p2
-	s.Stats.Pivots.Add(int64(pivots))
-	s.Stats.Phase1Pivots.Add(int64(p1))
-	s.Stats.Phase2Pivots.Add(int64(p2))
-	if s.Obs != nil {
-		s.Obs.Histogram("lp.solve.ms").Observe(float64(time.Since(t0)) / float64(time.Millisecond))
-		s.Obs.Histogram("lp.solve.pivots").Observe(float64(pivots))
-	}
-	sol.Status = st
-	if st != StatusOptimal {
-		// A failed solve invalidates the cached basis and RHS factors.
-		s.warmBasis = s.warmBasis[:0]
-		s.warmTotal = 0
-		s.rhsReady = false
-		return sol
-	}
-	s.extract(p, total, sol)
-	return sol
-}
-
-// warmSolve canonicalizes a fresh tableau around the cached basis and, if
-// the resulting vertex is primal feasible, runs phase 2 only. The int return
-// is the phase-2 pivot count.
-func (s *Solver) warmSolve(m, total, maxIter int, p *Problem) (Status, int) {
-	width := total + 1
-	t := s.growTab(m, width)
-	for i := 0; i < m; i++ {
-		copy(t[i], s.a[i*total:(i+1)*total])
-		t[i][width-1] = s.b[i]
-	}
-	basis := growI(s.basis, m)
-	// Pivot each cached basis column into its own row. Row swaps keep the
-	// elimination stable when the new data permutes which row a basis
-	// variable best lives in; a near-zero pivot column means the cached
-	// basis is singular for this data and the warm start is abandoned.
-	for i := 0; i < m; i++ {
-		col := s.warmBasis[i]
-		bestRow, bestAbs := -1, 1e-7
-		for r := i; r < m; r++ {
-			if abs := math.Abs(t[r][col]); abs > bestAbs {
-				bestRow, bestAbs = r, abs
-			}
-		}
-		if bestRow < 0 {
-			return StatusIterLimit, 0 // singular: fall back cold
-		}
-		t[i], t[bestRow] = t[bestRow], t[i]
-		pivot(t, basis, i, col)
-	}
-	// Primal feasibility of the warm vertex.
-	for i := 0; i < m; i++ {
-		if t[i][width-1] < -1e-7 {
-			return StatusIterLimit, 0 // infeasible start: fall back cold
-		}
-		if t[i][width-1] < 0 {
-			t[i][width-1] = 0
-		}
-	}
-	s.cost = growF(s.cost, width)
-	copy(s.cost, s.c)
-	s.cost[width-1] = 0
-	s.z = growF(s.z, width)
-	_, pivots, st := runSimplex(t, basis, s.cost, total, maxIter, p.Deadline, s.z)
-	if st != StatusOptimal {
-		return st, pivots
-	}
-	s.finish(t, basis, total, width)
-	return StatusOptimal, pivots
-}
-
-// coldSolve runs the full two-phase simplex with artificial variables,
-// returning the phase-1 and phase-2 pivot counts separately.
-func (s *Solver) coldSolve(m, total, maxIter int, p *Problem) (Status, int, int) {
-	width := total + m + 1
-	t := s.growTab(m, width)
-	for i := 0; i < m; i++ {
-		sign := 1.0
-		if s.b[i] < 0 {
-			sign = -1
-		}
-		row := t[i]
-		ar := s.a[i*total : (i+1)*total]
-		for j := 0; j < total; j++ {
-			row[j] = sign * ar[j]
-		}
-		row[total+i] = 1
-		row[width-1] = sign * s.b[i]
-	}
-	basis := growI(s.basis, m)
-	for i := range basis {
-		basis[i] = total + i
-	}
-
-	// Phase 1: minimize the sum of artificials.
-	s.cost = growF(s.cost, width)
-	for j := range s.cost {
-		s.cost[j] = 0
-	}
-	for j := total; j < total+m; j++ {
-		s.cost[j] = 1
-	}
-	s.z = growF(s.z, width)
-	z1, p1, st := runSimplex(t, basis, s.cost, total+m, maxIter, p.Deadline, s.z)
-	if st != StatusOptimal {
-		return st, p1, 0
-	}
-	if z1 > 1e-7 {
-		return StatusInfeasible, p1, 0
-	}
-	// Drive remaining artificials out of the basis.
-	for i := 0; i < len(t); i++ {
-		if basis[i] < total {
-			continue
-		}
-		pivotCol := -1
-		for j := 0; j < total; j++ {
-			if math.Abs(t[i][j]) > 1e-7 {
-				pivotCol = j
-				break
-			}
-		}
-		if pivotCol >= 0 {
-			pivot(t, basis, i, pivotCol)
-		} else {
-			// Redundant row: remove it.
-			t = append(t[:i], t[i+1:]...)
-			basis = append(basis[:i], basis[i+1:]...)
-			i--
-		}
-	}
-
-	// Phase 2: minimize the real objective. Artificials are nonbasic and
-	// excluded from the entering scan, so they stay out.
-	copy(s.cost, s.c)
-	for j := total; j < width; j++ {
-		s.cost[j] = 0
-	}
-	_, p2, st := runSimplex(t, basis, s.cost, total, maxIter, p.Deadline, s.z)
-	if st != StatusOptimal {
-		return st, p1, p2
-	}
-	s.finish(t, basis, total, width)
-	return StatusOptimal, p1, p2
-}
-
-// finish reads the optimal vertex out of the tableau and caches the basis
-// for the next warm start. Only bases covering every original row (no
-// redundant rows were dropped) are cached; a partial basis cannot
-// canonicalize the full rebuilt tableau.
-func (s *Solver) finish(t [][]float64, basis []int, total, width int) {
-	s.xstd = growF(s.xstd, total)
-	for i := range s.xstd {
-		s.xstd[i] = 0
-	}
-	for i, bi := range basis {
-		if bi < total {
-			s.xstd[bi] = t[i][width-1]
-		}
-	}
-	s.warmBasis = append(s.warmBasis[:0], basis...)
-	s.warmTotal = total
-	s.captureRHSFactors(t, basis, width)
-}
-
-// solveRevised runs the sparse revised simplex (revised.go). Warm starts
-// reuse the retained basis and nonbasic statuses when the problem shape
-// matches: a still-primal-feasible basis goes straight to phase 2, a
-// primal-infeasible but dual-feasible one to the dual simplex, anything else
-// through composite phase 1 — and on any failure the engine falls back to a
-// cold crash-basis solve, so a stale basis costs time, never correctness.
-func (s *Solver) solveRevised(p *Problem) *Solution {
 	s.Stats.Solves.Add(1)
 	var t0 time.Time
 	if s.Obs != nil {
@@ -739,7 +228,6 @@ func (s *Solver) solveRevised(p *Problem) *Solution {
 	if rv.refactorEvery <= 0 {
 		rv.refactorEvery = DefaultRefactorEvery
 	}
-	s.lastRevised = false
 
 	warmable := rv.valid && rv.nv == len(p.vars) && rv.nc == len(p.cons)
 	rv.sf.build(p)
@@ -755,8 +243,7 @@ func (s *Solver) solveRevised(p *Problem) *Solution {
 
 	sol := &Solution{}
 	if m == 0 {
-		// No constraints: every variable sits at its cost-minimizing bound
-		// (mirrors the dense engine's standard-form shortcut).
+		// No constraints: every variable sits at its cost-minimizing bound.
 		sol.Status = StatusOptimal
 		sol.X = make([]float64, rv.sf.n)
 		for j := 0; j < rv.sf.n; j++ {
@@ -835,27 +322,6 @@ func (s *Solver) solveRevised(p *Problem) *Solution {
 		return sol
 	}
 	rv.valid = true
-	s.lastRevised = true
 	rv.extract(p, sol)
 	return sol
-}
-
-// extract maps the standard-form solution back to model variables and
-// computes the objective in model space.
-func (s *Solver) extract(p *Problem, total int, sol *Solution) {
-	sol.X = make([]float64, len(p.vars))
-	for i := range p.vars {
-		f := s.forms[i]
-		u := s.xstd[f.posCol]
-		x := f.shift + f.sign*u
-		if f.negCol >= 0 {
-			x -= s.xstd[f.negCol]
-		}
-		sol.X[i] = x
-	}
-	obj := p.objExpr.Const
-	for _, t := range p.objExpr.Terms {
-		obj += t.Coeff * sol.X[t.Var]
-	}
-	sol.Objective = obj
 }

@@ -3,7 +3,7 @@ package lp
 import "math"
 
 // This file holds the sparse computational form the revised simplex operates
-// on. Instead of the dense solver's standard form (shifted/split variables,
+// on. Instead of the dense oracle's standard form (shifted/split variables,
 // explicit bound rows, an m×(n+m) tableau), the revised engine keeps the
 // model almost verbatim:
 //
@@ -12,7 +12,7 @@ import "math"
 // A is stored once in compressed sparse column (CSC) layout; the m slack
 // columns are implicit unit vectors (coefficient +1, bounds encoding the
 // relation: LE ⇒ s ∈ [0,∞), GE ⇒ s ∈ (−∞,0], EQ ⇒ s ∈ [0,0]). Variable
-// bounds — including two-sided boxes, which the dense path materializes as
+// bounds — including two-sided boxes, which the dense oracle materializes as
 // extra rows — are handled natively by the bounded-variable simplex, so a
 // path-split box constraint costs nothing beyond its bounds entries.
 type sparseForm struct {
@@ -41,9 +41,9 @@ func growI32(buf []int32, n int) []int32 {
 
 // build converts p into the computational form, reusing all grown buffers.
 // Duplicate terms on one (row, var) are combined, matching the dense
-// builder's `+=` semantics. Maximize is folded into the costs so the engine
+// oracle's `+=` semantics. Maximize is folded into the costs so the engine
 // always minimizes; the Solution objective is recomputed in model space at
-// extraction, exactly like the dense path.
+// extraction, exactly like the dense oracle.
 func (f *sparseForm) build(p *Problem) {
 	n := len(p.vars)
 	m := len(p.cons)

@@ -258,7 +258,6 @@ func (p *Problem) solveWarm(ctx context.Context, start time.Time, opts Options) 
 	getWorker := func(k int) *bbWorker {
 		if workers[k] == nil {
 			s := bbSolverPool.Get().(*lp.Solver)
-			s.Method = lp.MethodRevised
 			prob := p.LP.Clone()
 			prob.Deadline = deadline
 			workers[k] = &bbWorker{prob: prob, solver: s, base: s.Stats.Snapshot()}

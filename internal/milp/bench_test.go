@@ -64,7 +64,7 @@ func benchNodes(b *testing.B, opts Options) {
 }
 
 // BenchmarkPackingNodesColdClone is the legacy engine baseline: full LP
-// clone and cold dense-path solve per node.
+// clone and cold solve per node.
 func BenchmarkPackingNodesColdClone(b *testing.B) {
 	benchNodes(b, Options{ColdClone: true})
 }

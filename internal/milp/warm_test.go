@@ -97,9 +97,12 @@ func randomMILP(nInt, nCont, cons int, seed uint64) *Problem {
 
 // TestWarmMatchesColdCloneRandomized is the engine equivalence suite: on
 // budget-free randomized MILPs the warm-started engine must agree with the
-// legacy cold-clone engine — which solves every node with the dense-oracle
-// LP path at these sizes — on Status, and (when optimal) on the incumbent
-// objective within 1e-9 and on BestBound == Objective.
+// legacy cold-clone engine on Status, and (when optimal) on the incumbent
+// objective within 1e-9 and on BestBound == Objective. Both engines run the
+// same revised LP engine, so this pins the branch-and-bound logic (warm
+// bound re-solves, snapshots, wave scheduling), not the LP; lp's
+// TestBranchNodeRelaxationsMatchDense checks these node relaxations against
+// the dense oracle.
 func TestWarmMatchesColdCloneRandomized(t *testing.T) {
 	shapes := []struct{ nInt, nCont, cons int }{
 		{4, 0, 3}, {6, 2, 4}, {8, 0, 6}, {10, 3, 8},

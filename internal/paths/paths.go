@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/topology"
 )
@@ -225,6 +226,8 @@ type PathSet struct {
 	PairPaths [][]Path
 	// pairIdx maps a pair to its index in Pairs.
 	pairIdx map[topology.Pair]int
+	// memo holds structures derived from this path set (see Memo).
+	memo sync.Map
 }
 
 // NewPathSet computes K-shortest path sets for every ordered node pair.
@@ -245,6 +248,21 @@ func NewPathSet(g *topology.Graph, k int) *PathSet {
 
 // NumPairs returns the number of demand pairs.
 func (ps *PathSet) NumPairs() int { return len(ps.Pairs) }
+
+// Memo returns the value stored under key, calling build to create it on
+// first use. Packages that derive expensive per-path-set structures (LP
+// solvers, routing kernels) keep them here rather than in global caches, so
+// a derived structure lives exactly as long as its path set. Use an
+// unexported key type per package to avoid collisions. Safe for concurrent
+// use: racing first callers may each run build, but all of them get the one
+// value that was stored.
+func (ps *PathSet) Memo(key any, build func() any) any {
+	if v, ok := ps.memo.Load(key); ok {
+		return v
+	}
+	v, _ := ps.memo.LoadOrStore(key, build())
+	return v
+}
 
 // PairIndex returns the dense index of an ordered pair, or -1.
 func (ps *PathSet) PairIndex(src, dst int) int {

@@ -62,8 +62,6 @@ func NewDeltaMLUSolver(ps *paths.PathSet) *DeltaMLUSolver {
 		fs:        make([]lp.VarID, total),
 		demandCon: make([]int, ps.NumPairs()),
 	}
-	s.solver.KeepRHSFactors = true
-	s.solver.Method = LPMethod()
 	p := s.prob
 	s.u = p.AddVariable("u", 0, math.Inf(1))
 	expr := lp.NewExpr()
@@ -106,12 +104,6 @@ func NewDeltaMLUSolver(ps *paths.PathSet) *DeltaMLUSolver {
 // SetObs routes the solver's LP telemetry (including "lp.rhs.ms") into reg;
 // nil disables.
 func (s *DeltaMLUSolver) SetObs(reg *obs.Registry) { s.solver.Obs = reg }
-
-// SetMethod forces the simplex engine (overriding the package default read
-// at construction). With lp.MethodRevised, an RHS delta that breaks primal
-// feasibility is repaired by a few dual-simplex pivots instead of the dense
-// path's full warm/cold fallback. Call before the first Solve.
-func (s *DeltaMLUSolver) SetMethod(m lp.Method) { s.solver.Method = m }
 
 // Stats returns the underlying solver's counters; RHSAttempts/RHSHits
 // distinguish the rhs fast path from warm and cold solves.

@@ -38,7 +38,7 @@ func (e *StatusError) Error() string { return fmt.Sprintf("te: %s LP %v", e.Op, 
 //
 // MLUSolver is safe for concurrent use: each Solve borrows an independent
 // (Problem, Solver) pair from an internal pool, so parallel searchers never
-// serialize on a shared tableau and each pooled pair keeps its own warm
+// serialize on a shared solver and each pooled pair keeps its own warm
 // basis.
 type MLUSolver struct {
 	ps *paths.PathSet
@@ -60,21 +60,6 @@ type MLUSolver struct {
 	// obsReg, when set, is handed to each borrowed solver so per-solve
 	// latency/pivot histograms land in one shared registry.
 	obsReg atomic.Pointer[obs.Registry]
-	// method overrides the package-level LPMethod for this solver's pooled
-	// lp.Solvers, stored as method+1 (0 = follow the package default).
-	method atomic.Int32
-}
-
-// SetMethod forces the simplex engine for this solver's pooled lp.Solvers,
-// overriding the package default set by SetLPMethod. Safe to call
-// concurrently; in-flight borrows keep the method they started with.
-func (s *MLUSolver) SetMethod(m lp.Method) { s.method.Store(int32(m) + 1) }
-
-func (s *MLUSolver) lpMethod() lp.Method {
-	if v := s.method.Load(); v != 0 {
-		return lp.Method(v - 1)
-	}
-	return LPMethod()
 }
 
 // Stats returns the aggregated LP solve counters across every pooled solver
@@ -151,7 +136,6 @@ func (s *MLUSolver) SolveCtx(ctx context.Context, tm TrafficMatrix) (float64, Sp
 	}
 	st := s.pool.Get().(*mluState)
 	st.solver.Obs = s.obsReg.Load()
-	st.solver.Method = s.lpMethod()
 	before := st.solver.Stats.Snapshot()
 	defer func() {
 		s.stats.AddSnapshot(st.solver.Stats.Snapshot().Sub(before))
@@ -180,8 +164,7 @@ func (s *MLUSolver) SolveCtx(ctx context.Context, tm TrafficMatrix) (float64, Sp
 		norm := st.expr.Reset()
 		for k := range pp {
 			// No explicit upper bound: the normalization row already caps
-			// each split at one, and leaving the bound off keeps the simplex
-			// tableau hundreds of rows smaller.
+			// each split at one.
 			xs[s.offsets[i]+k] = p.AddVariable("", 0, math.Inf(1))
 			norm.Add(1, xs[s.offsets[i]+k])
 		}
@@ -213,6 +196,12 @@ func (s *MLUSolver) SolveCtx(ctx context.Context, tm TrafficMatrix) (float64, Sp
 		if err := ctx.Err(); err != nil {
 			return 0, nil, err
 		}
+		// The simplex reads the clock itself, so it can see the deadline
+		// pass before the context's timer has fired: that is still the
+		// deadline, not a stuck LP.
+		if dl, ok := ctx.Deadline(); ok && sol.Status == lp.StatusIterLimit && !time.Now().Before(dl) {
+			return 0, nil, context.DeadlineExceeded
+		}
 		return 0, nil, &StatusError{Op: "optimal MLU", Status: sol.Status}
 	}
 	splits := make(Splits, s.total)
@@ -230,41 +219,26 @@ func (s *MLUSolver) SolveCtx(ctx context.Context, tm TrafficMatrix) (float64, Sp
 	return sol.Objective, splits, nil
 }
 
-// mluSolverCache maps path sets to their MLUSolver so the package-level
-// OptimalMLU reuses incidence structures and warm bases across calls. The
-// cache is bounded: when it would exceed mluCacheLimit entries it is emptied
-// wholesale (path sets are few and long-lived in practice, so eviction is a
-// correctness backstop, not a tuned policy).
-var mluSolverCache = struct {
-	sync.Mutex
-	m map[*paths.PathSet]*MLUSolver
-}{m: make(map[*paths.PathSet]*MLUSolver)}
+// mluSolverKey is the paths.PathSet.Memo key of a path set's shared
+// MLUSolver.
+type mluSolverKey struct{}
 
-const mluCacheLimit = 32
-
+// solverFor returns ps's shared MLUSolver — the one package-level
+// OptimalMLU and the search engines use — building it on first use. It is
+// memoized on the path set itself, so it (with its pooled solvers and warm
+// bases) is collected together with ps.
 func solverFor(ps *paths.PathSet) *MLUSolver {
-	mluSolverCache.Lock()
-	defer mluSolverCache.Unlock()
-	if s, ok := mluSolverCache.m[ps]; ok {
-		return s
-	}
-	if len(mluSolverCache.m) >= mluCacheLimit {
-		mluSolverCache.m = make(map[*paths.PathSet]*MLUSolver)
-	}
-	s := NewMLUSolver(ps)
-	mluSolverCache.m[ps] = s
-	return s
+	return ps.Memo(mluSolverKey{}, func() any { return NewMLUSolver(ps) }).(*MLUSolver)
 }
 
-// InstrumentSolver routes LP telemetry for ps's cached MLUSolver (the one
-// package-level OptimalMLU and the search engines use) into reg. Creates
-// the solver if it is not cached yet, so instrumenting before the first
-// solve works.
+// InstrumentSolver routes LP telemetry for ps's shared MLUSolver into reg.
+// Creates the solver if it does not exist yet, so instrumenting before the
+// first solve works.
 func InstrumentSolver(ps *paths.PathSet, reg *obs.Registry) {
 	solverFor(ps).SetObs(reg)
 }
 
-// SolverStatsFor returns the cumulative LP solve counters of ps's cached
+// SolverStatsFor returns the cumulative LP solve counters of ps's shared
 // MLUSolver. Callers scraping deltas should Sub two scrapes.
 func SolverStatsFor(ps *paths.PathSet) lp.SolverStatsSnapshot {
 	return solverFor(ps).Stats()

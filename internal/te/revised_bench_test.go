@@ -3,7 +3,6 @@ package te
 import (
 	"testing"
 
-	"repro/internal/lp"
 	"repro/internal/paths"
 	"repro/internal/rng"
 	"repro/internal/topology"
@@ -24,10 +23,9 @@ func waxmanPS() *paths.PathSet {
 
 // BenchmarkWaxman100 is the acceptance point for the sparse revised engine: a
 // tegen-grown 100-node Waxman topology (400 directed edges, 9900 pairs, K=4
-// → ~10,300 LP rows, ~40,000 columns). The dense tableau at this size is
-// ~3–4 GB and not practical, so only the revised engine runs: a from-scratch
-// cold solve, and warm re-solves across small demand perturbations (the
-// adversarial-search steady state).
+// → ~10,300 LP rows, ~40,000 columns; a dense tableau at this size would be
+// ~3–4 GB): a from-scratch cold solve, and warm re-solves across small
+// demand perturbations (the adversarial-search steady state).
 func BenchmarkWaxman100(b *testing.B) {
 	ps := waxmanPS()
 	scale := ps.Graph.AvgLinkCapacity() / float64(ps.Graph.NumNodes())
@@ -37,7 +35,6 @@ func BenchmarkWaxman100(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s := NewMLUSolver(ps)
-			s.SetMethod(lp.MethodRevised)
 			if _, _, err := s.Solve(tm); err != nil {
 				b.Fatal(err)
 			}
@@ -49,7 +46,6 @@ func BenchmarkWaxman100(b *testing.B) {
 		r := rng.New(2)
 		tm := gravityTM(ps, scale, r)
 		s := NewMLUSolver(ps)
-		s.SetMethod(lp.MethodRevised)
 		if _, _, err := s.Solve(tm); err != nil {
 			b.Fatal(err)
 		}

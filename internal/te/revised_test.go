@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/lp"
 	"repro/internal/paths"
 	"repro/internal/rng"
 	"repro/internal/topology"
@@ -29,99 +28,10 @@ func gravityTM(ps *paths.PathSet, scale float64, r *rng.RNG) TrafficMatrix {
 	return tm
 }
 
-// TestMLURevisedMatchesDense pins the revised engine to the dense oracle on
-// the real evaluation topologies: identical MLU objectives to 1e-9 rel
-// across a perturbed matrix sequence.
-func TestMLURevisedMatchesDense(t *testing.T) {
-	topos := map[string]*topology.Graph{
-		"abilene": topology.Abilene(),
-		"geant":   topology.Geant(),
-		"b4":      topology.B4(),
-	}
-	for name, g := range topos {
-		ps := paths.NewPathSet(g, 4)
-		dense := NewMLUSolver(ps)
-		dense.SetMethod(lp.MethodDense)
-		rev := NewMLUSolver(ps)
-		rev.SetMethod(lp.MethodRevised)
-		r := rng.New(5)
-		scale := g.AvgLinkCapacity() / 8
-		for iter := 0; iter < 6; iter++ {
-			tm := gravityTM(ps, scale, r)
-			dMLU, _, err := dense.Solve(tm)
-			if err != nil {
-				t.Fatalf("%s iter %d: dense: %v", name, iter, err)
-			}
-			rMLU, rSplits, err := rev.Solve(tm)
-			if err != nil {
-				t.Fatalf("%s iter %d: revised: %v", name, iter, err)
-			}
-			if d := relDiff(dMLU, rMLU); d > 1e-9 {
-				t.Fatalf("%s iter %d: dense MLU %.15g revised %.15g (rel %.3g)", name, iter, dMLU, rMLU, d)
-			}
-			// Splits must be a valid routing: verify the revised solution
-			// actually achieves its claimed MLU on the network.
-			if got, _ := MLU(ps, tm, rSplits); relDiff(got, rMLU) > 1e-7 {
-				t.Fatalf("%s iter %d: revised splits achieve MLU %.12g, LP claims %.12g", name, iter, got, rMLU)
-			}
-		}
-		if rev.Stats().Pivots == 0 {
-			t.Fatalf("%s: revised solver reported zero pivots — engine not exercised", name)
-		}
-	}
-}
-
-// TestDeltaSolverRevisedMatchesDense runs the RHS-delta flow solver under
-// both engines across a demand sequence with occasional large swings, so the
-// revised path exercises zero-pivot hits AND dual-simplex repairs.
-func TestDeltaSolverRevisedMatchesDense(t *testing.T) {
-	g := topology.Abilene()
-	ps := paths.NewPathSet(g, 4)
-	dense := NewDeltaMLUSolver(ps)
-	dense.SetMethod(lp.MethodDense)
-	rev := NewDeltaMLUSolver(ps)
-	rev.SetMethod(lp.MethodRevised)
-	r := rng.New(17)
-	scale := g.AvgLinkCapacity() / 8
-	tm := gravityTM(ps, scale, r)
-	for iter := 0; iter < 40; iter++ {
-		dMLU, _, err := dense.Solve(tm)
-		if err != nil {
-			t.Fatalf("iter %d: dense: %v", iter, err)
-		}
-		rMLU, _, err := rev.Solve(tm)
-		if err != nil {
-			t.Fatalf("iter %d: revised: %v", iter, err)
-		}
-		if d := relDiff(dMLU, rMLU); d > 1e-9 {
-			t.Fatalf("iter %d: dense MLU %.15g revised %.15g (rel %.3g)", iter, dMLU, rMLU, d)
-		}
-		// Mostly small probes (ResolveRHS fast-path territory) with a big
-		// kick every 5th iteration to force primal infeasibility.
-		if iter%5 == 4 {
-			i := r.Intn(len(tm))
-			tm[i] *= 3
-		} else {
-			i := r.Intn(len(tm))
-			tm[i] *= r.Uniform(0.9, 1.1)
-		}
-	}
-	rs := rev.Stats()
-	if rs.RHSAttempts == 0 {
-		t.Fatal("revised delta solver never took the RHS fast path")
-	}
-	if rs.DualResolves == 0 {
-		t.Fatal("no RHS delta was repaired by the dual simplex — the big kicks should force it")
-	}
-	t.Logf("revised delta stats: attempts=%d zero-pivot hits=%d dual resolves=%d dual pivots=%d cold=%d",
-		rs.RHSAttempts, rs.RHSHits, rs.DualResolves, rs.DualPivots, rs.ColdSolves)
-}
-
-// TestLargeTopologyRevised solves a tegen-grown Waxman MLU LP with the
-// revised engine — the problem size where the dense tableau (~rows×cols
-// float64s) would not be practical. Kept moderate (60 nodes) so the test
-// suite stays fast; the 100-node acceptance point runs in BenchmarkWaxman100
-// (make bench-lp).
+// TestLargeTopologyRevised solves a tegen-grown Waxman MLU LP — the problem
+// size where a dense tableau (~rows×cols float64s) would not be practical.
+// Kept moderate (60 nodes) so the test suite stays fast; the 100-node
+// acceptance point runs in BenchmarkWaxman100 (make bench-lp).
 func TestLargeTopologyRevised(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large LP in -short mode")
@@ -129,7 +39,6 @@ func TestLargeTopologyRevised(t *testing.T) {
 	g := topology.Waxman(60, 4, 5, 10, rng.New(42))
 	ps := paths.NewPathSet(g, 4)
 	s := NewMLUSolver(ps)
-	s.SetMethod(lp.MethodRevised)
 	tm := gravityTM(ps, g.AvgLinkCapacity()/float64(g.NumNodes()), rng.New(1))
 	mlu, splits, err := s.Solve(tm)
 	if err != nil {
@@ -145,32 +54,28 @@ func TestLargeTopologyRevised(t *testing.T) {
 
 // TestRevisedConcurrentPool is the -race leg for the revised engine: several
 // goroutines solving through one shared MLUSolver (pooled lp.Solvers, each
-// with retained revised-simplex state) while another scrapes Stats() and a
-// fourth flips the method override mid-flight. Correctness of each answer is
-// pinned against a dense oracle computed up front.
+// with retained revised-simplex state) while another scrapes Stats().
+// Correctness of each answer is pinned against cold solves on solvers of
+// their own, computed up front.
 func TestRevisedConcurrentPool(t *testing.T) {
 	g := topology.Abilene()
 	ps := paths.NewPathSet(g, 4)
 	scale := g.AvgLinkCapacity() / 8
 
-	// Oracle MLUs for a fixed set of matrices, via dense.
 	const nTM = 8
 	tms := make([]TrafficMatrix, nTM)
 	want := make([]float64, nTM)
-	oracle := NewMLUSolver(ps)
-	oracle.SetMethod(lp.MethodDense)
 	r := rng.New(23)
 	for i := range tms {
 		tms[i] = gravityTM(ps, scale, r)
-		mlu, _, err := oracle.Solve(tms[i])
+		mlu, _, err := NewMLUSolver(ps).Solve(tms[i])
 		if err != nil {
-			t.Fatalf("oracle tm %d: %v", i, err)
+			t.Fatalf("cold tm %d: %v", i, err)
 		}
 		want[i] = mlu
 	}
 
 	shared := NewMLUSolver(ps)
-	shared.SetMethod(lp.MethodRevised)
 	done := make(chan struct{})
 	var aux, workers sync.WaitGroup
 	// Scraper: hammer the aggregated stats view while solves fold deltas in.
@@ -183,24 +88,6 @@ func TestRevisedConcurrentPool(t *testing.T) {
 				return
 			default:
 				_ = shared.Stats()
-			}
-		}
-	}()
-	// Flipper: toggle the method override; in-flight borrows keep the method
-	// they started with, so every answer must still match the oracle.
-	aux.Add(1)
-	go func() {
-		defer aux.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-				if i%2 == 0 {
-					shared.SetMethod(lp.MethodRevised)
-				} else {
-					shared.SetMethod(lp.MethodAuto)
-				}
 			}
 		}
 	}()
@@ -228,24 +115,5 @@ func TestRevisedConcurrentPool(t *testing.T) {
 	aux.Wait()
 	if err := solveErr.Load(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSetLPMethodDefault checks the package default reaches pooled solvers.
-func TestSetLPMethodDefault(t *testing.T) {
-	SetLPMethod(lp.MethodRevised)
-	defer SetLPMethod(lp.MethodAuto)
-	if LPMethod() != lp.MethodRevised {
-		t.Fatal("SetLPMethod did not stick")
-	}
-	g := topology.Triangle()
-	ps := paths.NewPathSet(g, 2)
-	s := NewMLUSolver(ps)
-	tm := gravityTM(ps, 10, rng.New(2))
-	if _, _, err := s.Solve(tm); err != nil {
-		t.Fatalf("solve under revised default: %v", err)
-	}
-	if s.Stats().Refactors == 0 {
-		t.Fatal("revised default not applied: no refactorizations recorded")
 	}
 }
