@@ -3,18 +3,20 @@ GO ?= go
 # Benchmark time per case for bench-json; CI uses 1x for a smoke snapshot,
 # real measurement runs want something like 2s or 20x.
 BENCHTIME ?= 2s
-BENCHJSON_OUT ?= BENCH_PR5.json
+BENCHJSON_OUT ?= BENCH_json_local.json
 # Optional committed baseline for a benchstat-style comparison table; the
 # compare is informational and never fails the target.
 BENCHJSON_BASELINE ?=
+# Snapshot outputs default to untracked BENCH_*_local.json files so a plain
+# `make bench-*` never overwrites a committed baseline.
 # bench-lp snapshot output and the committed baseline it is compared against.
-BENCHLP_OUT ?= BENCH_PR6.json
+BENCHLP_OUT ?= BENCH_lp_local.json
 BENCHLP_BASELINE ?= BENCH_PR5.json
 # bench-surrogate snapshot output and its committed baseline.
-BENCHSUR_OUT ?= BENCH_PR7.json
+BENCHSUR_OUT ?= BENCH_surrogate_local.json
 BENCHSUR_BASELINE ?= BENCH_PR6.json
 # bench-milp snapshot output and its committed baseline.
-BENCHMILP_OUT ?= BENCH_PR10.json
+BENCHMILP_OUT ?= BENCH_milp_local.json
 BENCHMILP_BASELINE ?= BENCH_PR7.json
 
 .PHONY: all build test vet race bench bench-json bench-lp bench-surrogate bench-milp
@@ -73,10 +75,10 @@ bench-surrogate:
 	$(GO) test -race -count=1 -run 'TestSurrogateFallbackContractBitwise' ./internal/dote/
 
 # bench-milp archives the warm-started branch-and-bound headline: packing
-# node throughput cold-clone vs warm vs wave-parallel (the ≥5x nodes/sec
-# tentpole), the end-to-end alloc attack A/B over both engines, and the
-# serve.Pool searches/hour fleet number — then runs the -race leg over
-# concurrent parallel MILP solves sharing pools.
+# node throughput of the warm engine vs the cold-clone test oracle, the
+# end-to-end alloc attack, and the serve.Pool searches/hour fleet number —
+# then runs the -race leg over concurrent MILP solves sharing the solver
+# and basis pools.
 bench-milp:
 	{ $(GO) test -run xxx -benchtime $(BENCHTIME) -benchmem \
 		-bench 'BenchmarkPackingNodes' ./internal/milp/ ; \
@@ -85,5 +87,5 @@ bench-milp:
 	  $(GO) test -run xxx -benchtime $(BENCHTIME) -benchmem \
 		-bench 'BenchmarkPoolThroughput' ./internal/serve/ ; } \
 		| $(GO) run ./cmd/benchjson -out $(BENCHMILP_OUT) $(if $(BENCHMILP_BASELINE),-compare $(BENCHMILP_BASELINE))
-	$(GO) test -race -count=1 -run 'Warm|TestConcurrentParallelSolves|TestPoolBackedMILPDeterminism' ./internal/milp/ ./internal/serve/
+	$(GO) test -race -count=1 -run 'Warm|TestConcurrentSolvesSharePools' ./internal/milp/
 	$(GO) test -race -count=1 -run 'ResolveBounds|BasisSnapshot' ./internal/lp/

@@ -66,12 +66,3 @@ func benchAllocAttack(b *testing.B, sys *alloc.System) {
 func BenchmarkAllocAttack(b *testing.B) {
 	benchAllocAttack(b, benchAllocSystem(b))
 }
-
-// BenchmarkAllocAttackColdMILP pins the legacy clone-per-node MILP engine
-// under the identical attack, so the BENCH history carries the A/B of the
-// warm engine's end-to-end effect on the analyzer.
-func BenchmarkAllocAttackColdMILP(b *testing.B) {
-	cold := *benchAllocSystem(b)
-	cold.Cfg.MILPColdClone = true
-	benchAllocAttack(b, &cold)
-}

@@ -26,7 +26,6 @@ func cmdAlloc(args []string) error {
 	spsa := c.fs.Int("spsa", 0, "with an opaque stage: estimate gradients with this many SPSA probes instead of coordinate FD (0 = FD)")
 	fdStep := c.fs.Float64("fd-step", 1e-4, "finite-difference / SPSA probe step")
 	evalCacheSize := c.fs.Int("eval-cache", 4096, "memoize MILP-ratio scoring in a cache of this many entries (0 = off)")
-	milpWorkers := c.fs.Int("milp-workers", 1, "concurrent LP relaxations per packing-MILP wave (results are identical for any value)")
 	jsonOut := c.fs.String("json", "", "write the full result (including the adversarial mix) to this file")
 	if err := c.fs.Parse(args); err != nil {
 		return err
@@ -52,7 +51,6 @@ func cmdAlloc(args []string) error {
 		cfg.TrainEpochs = *epochs
 	}
 	cfg.Seed = *c.seed
-	cfg.MILPWorkers = *milpWorkers
 	sys, err := alloc.New(cfg)
 	if err != nil {
 		return err

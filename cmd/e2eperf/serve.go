@@ -93,7 +93,6 @@ func cmdGate(args []string) error {
 	timeout := fs.Duration("timeout", 0, "wall-clock budget; on expiry the gate judges the best-so-far bound (0 = unlimited)")
 	opaque := fs.Bool("opaque", false, "gate the gray-box pipeline (fused routing+MLU, FD gradients)")
 	fdStep := fs.Float64("fd-step", 1e-4, "finite-difference probe step for -opaque")
-	sparse := fs.Bool("sparse", true, "with -opaque: incremental sparse FD probing (false forces dense)")
 	label := fs.String("label", "gate", "job label echoed in daemon logs and events")
 	jsonOut := fs.String("json", "", "write the full result JSON (adversarial input included) to this file")
 	verbose := fs.Bool("v", false, "stream improvement events to stderr as they happen")
@@ -117,7 +116,6 @@ func cmdGate(args []string) error {
 		Threshold:  *threshold,
 		Scenario: serve.Scenario{
 			Opaque: *opaque,
-			Dense:  *opaque && !*sparse,
 			FDStep: *fdStep,
 		},
 		Budget: serve.Budget{

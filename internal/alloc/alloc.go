@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/ad"
-	"repro/internal/milp"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -55,13 +54,6 @@ type Config struct {
 	// MILPMaxTime optionally bounds MILP wall clock (0 = unlimited;
 	// introduces timing nondeterminism, so the self-checks leave it 0).
 	MILPMaxTime time.Duration
-	// MILPWorkers is the number of LP relaxations the packing MILP solves
-	// concurrently per wave (≤1 = sequential). The warm engine's results are
-	// bitwise independent of this knob, so it is a pure throughput dial.
-	MILPWorkers int
-	// MILPColdClone selects the legacy clone-per-node MILP engine. Kept as
-	// the A/B baseline for the warm-engine benchmarks, not for production.
-	MILPColdClone bool
 }
 
 // DefaultConfig is the full-scale configuration: 6 VM types across 4
@@ -112,9 +104,6 @@ type System struct {
 	// Obs, when non-nil, receives the packing MILP's telemetry (milp.nodes,
 	// milp.warm_hits, …) so `-metrics` surfaces the baseline's solver work.
 	Obs *obs.Registry
-	// Exec, when non-nil and MILPWorkers > 1, runs the MILP's per-wave LP
-	// solves (e.g. a shared serve.Pool).
-	Exec milp.Executor
 	// ctx bounds baseline MILP solves; set via Bind (nil = background). The
 	// indirection exists because core.AttackTarget.RatioOverride has no
 	// context parameter — the search's context is bound once up front.

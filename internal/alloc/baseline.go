@@ -76,12 +76,9 @@ func (s *System) OptimalPacking(n []int) *milp.Solution {
 		ctx = context.Background()
 	}
 	return p.SolveCtx(ctx, milp.Options{
-		MaxNodes:  s.Cfg.MILPMaxNodes,
-		MaxTime:   s.Cfg.MILPMaxTime,
-		Workers:   s.Cfg.MILPWorkers,
-		Executor:  s.Exec,
-		Obs:       s.Obs,
-		ColdClone: s.Cfg.MILPColdClone,
+		MaxNodes: s.Cfg.MILPMaxNodes,
+		MaxTime:  s.Cfg.MILPMaxTime,
+		Obs:      s.Obs,
 	})
 }
 

@@ -89,46 +89,8 @@ func (p *Pipeline) BatchForward(xs *linalg.Matrix) *linalg.Matrix {
 // the batched forward sweep, then pulls the per-row cotangents back stage by
 // stage. Row r of the result equals VJP(xs.Row(r), ybars.Row(r)) exactly.
 func (p *Pipeline) BatchVJP(xs, ybars *linalg.Matrix) *linalg.Matrix {
-	if xs.Rows == 0 {
-		panic("core: BatchVJP on empty batch")
-	}
-	inputs := make([]*linalg.Matrix, len(p.stages))
-	cur := xs
-	for i, s := range p.stages {
-		inputs[i] = cur
-		if p.obs != nil {
-			t := p.obs[i].fwd.StartTimer()
-			cur = batchForwardStage(s, cur)
-			t.Stop()
-		} else {
-			cur = batchForwardStage(s, cur)
-		}
-	}
-	if ybars.Rows != cur.Rows || ybars.Cols != cur.Cols {
-		panic(fmt.Sprintf("core: batch cotangent shape [%d,%d], output [%d,%d]",
-			ybars.Rows, ybars.Cols, cur.Rows, cur.Cols))
-	}
-	cot := ybars
-	for i := len(p.stages) - 1; i >= 0; i-- {
-		var t obs.Timer
-		if p.obs != nil {
-			t = p.obs[i].vjp.StartTimer()
-		}
-		switch d := p.stages[i].(type) {
-		case BatchDifferentiable:
-			cot = d.BatchVJP(inputs[i], cot)
-		case Differentiable:
-			next := linalg.NewMatrix(xs.Rows, inputs[i].Cols)
-			for r := 0; r < xs.Rows; r++ {
-				copy(next.Row(r), d.VJP(inputs[i].Row(r), cot.Row(r)))
-			}
-			cot = next
-		default:
-			panic(fmt.Sprintf("core: stage %q is not differentiable; wrap it with WithFiniteDiff or WithSPSA", p.stages[i].Name()))
-		}
-		t.Stop()
-	}
-	return cot
+	g, _ := p.BatchVJPCtx(context.Background(), xs, ybars)
+	return g
 }
 
 // BatchCtxDifferentiable is an optional extension of BatchDifferentiable for
@@ -142,13 +104,10 @@ type BatchCtxDifferentiable interface {
 
 // BatchVJPCtx is BatchVJP under a caller-controlled context: ctx is checked
 // between stages and long-running estimator stages abort promptly. A context
-// that can never fire takes the exact BatchVJP code path, preserving the
-// bitwise per-row contract. The only error returned is ctx.Err(); structural
-// problems still panic, to be contained by the search engine.
+// that never fires leaves every row bitwise unchanged. The only error
+// returned is ctx.Err(); structural problems still panic, to be contained by
+// the search engine.
 func (p *Pipeline) BatchVJPCtx(ctx context.Context, xs, ybars *linalg.Matrix) (*linalg.Matrix, error) {
-	if ctx.Done() == nil {
-		return p.BatchVJP(xs, ybars), nil
-	}
 	if xs.Rows == 0 {
 		panic("core: BatchVJP on empty batch")
 	}

@@ -130,36 +130,8 @@ func (p *Pipeline) EvalScalar(x []float64) float64 {
 // stage must be Differentiable — wrap opaque stages with WithFiniteDiff or
 // WithSPSA first (see Grayboxed).
 func (p *Pipeline) VJP(x, ybar []float64) []float64 {
-	inputs := make([][]float64, len(p.stages))
-	cur := x
-	for i, s := range p.stages {
-		inputs[i] = cur
-		if p.obs != nil {
-			t := p.obs[i].fwd.StartTimer()
-			cur = s.Forward(cur)
-			t.Stop()
-		} else {
-			cur = s.Forward(cur)
-		}
-	}
-	if len(ybar) != len(cur) {
-		panic(fmt.Sprintf("core: cotangent length %d, output length %d", len(ybar), len(cur)))
-	}
-	cot := ybar
-	for i := len(p.stages) - 1; i >= 0; i-- {
-		d, ok := p.stages[i].(Differentiable)
-		if !ok {
-			panic(fmt.Sprintf("core: stage %q is not differentiable; wrap it with WithFiniteDiff or WithSPSA", p.stages[i].Name()))
-		}
-		if p.obs != nil {
-			t := p.obs[i].vjp.StartTimer()
-			cot = d.VJP(inputs[i], cot)
-			t.Stop()
-		} else {
-			cot = d.VJP(inputs[i], cot)
-		}
-	}
-	return cot
+	g, _ := p.VJPCtx(context.Background(), x, ybar)
+	return g
 }
 
 // scalarSeed is the shared unit cotangent for scalar-output pipelines. No
@@ -184,15 +156,11 @@ type CtxDifferentiable interface {
 
 // VJPCtx is VJP under a caller-controlled context: the chain rule checks ctx
 // between stages and delegates to CtxDifferentiable stages so long-running
-// estimators abort promptly. A context that can never fire (no deadline, no
-// cancel) takes the exact VJP code path, so results are bitwise identical to
-// VJP. The only error returned is ctx.Err(); structural problems (shape
-// mismatches, non-differentiable stages) still panic, to be contained by the
-// search engine's recover() boundary.
+// estimators abort promptly. A context that never fires leaves the result
+// unchanged. The only error returned is ctx.Err(); structural problems
+// (shape mismatches, non-differentiable stages) still panic, to be contained
+// by the search engine's recover() boundary.
 func (p *Pipeline) VJPCtx(ctx context.Context, x, ybar []float64) ([]float64, error) {
-	if ctx.Done() == nil {
-		return p.VJP(x, ybar), nil
-	}
 	inputs := make([][]float64, len(p.stages))
 	cur := x
 	for i, s := range p.stages {

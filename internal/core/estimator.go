@@ -46,46 +46,10 @@ func (f *fdComponent) Instrument(reg *obs.Registry) {
 // VJP implements Differentiable by sampling the function around x. When the
 // wrapped component advertises SparseProbeEvaluator, probes go through its
 // incremental fast path ((index, delta) pairs instead of full vectors); the
-// sparse path reproduces this function's arithmetic bitwise.
+// sparse path reproduces the dense arithmetic bitwise.
 func (f *fdComponent) VJP(x, ybar []float64) []float64 {
-	n := len(x)
-	grad := make([]float64, n)
-	if spe, ok := f.inner.(SparseProbeEvaluator); ok {
-		f.sparseVJPInto(nil, spe, x, ybar, grad)
-		return grad
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < f.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One pooled perturbation buffer per worker, filled once: each
-			// job only touches coordinate j and restores it, so there is no
-			// per-job copy of x.
-			xp := linalg.GetVec(n)
-			defer linalg.PutVec(xp)
-			copy(xp, x)
-			for j := range jobs {
-				xp[j] = x[j] + f.step
-				fp := f.inner.Forward(xp)
-				xp[j] = x[j] - f.step
-				fm := f.inner.Forward(xp)
-				xp[j] = x[j]
-				s := 0.0
-				for i := range ybar {
-					s += ybar[i] * (fp[i] - fm[i])
-				}
-				grad[j] = s / (2 * f.step)
-			}
-		}()
-	}
-	for j := 0; j < n; j++ {
-		jobs <- j
-	}
-	close(jobs)
-	wg.Wait()
-	return grad
+	g, _ := f.VJPCtx(context.Background(), x, ybar)
+	return g
 }
 
 // VJPCtx implements CtxDifferentiable: one FD VJP costs 2n forward
@@ -93,9 +57,6 @@ func (f *fdComponent) VJP(x, ybar []float64) []float64 {
 // enqueuing jobs once ctx fires and workers skip remaining work while still
 // draining the channel, so no goroutine ever blocks on an abandoned send.
 func (f *fdComponent) VJPCtx(ctx context.Context, x, ybar []float64) ([]float64, error) {
-	if ctx.Done() == nil {
-		return f.VJP(x, ybar), nil
-	}
 	n := len(x)
 	grad := make([]float64, n)
 	if spe, ok := f.inner.(SparseProbeEvaluator); ok {
@@ -110,6 +71,9 @@ func (f *fdComponent) VJPCtx(ctx context.Context, x, ybar []float64) ([]float64,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One pooled perturbation buffer per worker, filled once: each
+			// job only touches coordinate j and restores it, so there is no
+			// per-job copy of x.
 			xp := linalg.GetVec(n)
 			defer linalg.PutVec(xp)
 			copy(xp, x)
@@ -159,67 +123,14 @@ func (f *fdComponent) BatchForward(xs *linalg.Matrix) *linalg.Matrix {
 // estimate uses exactly the scalar path's arithmetic, so batched and scalar
 // VJPs agree bitwise.
 func (f *fdComponent) BatchVJP(xs, ybars *linalg.Matrix) *linalg.Matrix {
-	if spe, ok := f.inner.(SparseProbeEvaluator); ok {
-		grads, _ := f.sparseBatchVJP(nil, spe, xs, ybars)
-		return grads
-	}
-	R, n := xs.Rows, xs.Cols
-	grads := linalg.NewMatrix(R, n)
-	workers := f.workers
-	if workers > R {
-		workers = R
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	rows := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			probes := linalg.NewMatrix(2*fdBatchChunk, n)
-			for r := range rows {
-				x, ybar, grad := xs.Row(r), ybars.Row(r), grads.Row(r)
-				for j0 := 0; j0 < n; j0 += fdBatchChunk {
-					j1 := min(j0+fdBatchChunk, n)
-					nb := j1 - j0
-					for jj := 0; jj < nb; jj++ {
-						pp, pm := probes.Row(2*jj), probes.Row(2*jj+1)
-						copy(pp, x)
-						copy(pm, x)
-						pp[j0+jj] = x[j0+jj] + f.step
-						pm[j0+jj] = x[j0+jj] - f.step
-					}
-					sub := &linalg.Matrix{Rows: 2 * nb, Cols: n, Data: probes.Data[:2*nb*n]}
-					outs := batchForwardStage(f.inner, sub)
-					for jj := 0; jj < nb; jj++ {
-						fp, fm := outs.Row(2*jj), outs.Row(2*jj+1)
-						s := 0.0
-						for i := range ybar {
-							s += ybar[i] * (fp[i] - fm[i])
-						}
-						grad[j0+jj] = s / (2 * f.step)
-					}
-				}
-			}
-		}()
-	}
-	for r := 0; r < R; r++ {
-		rows <- r
-	}
-	close(rows)
-	wg.Wait()
-	return grads
+	g, _ := f.BatchVJPCtx(context.Background(), xs, ybars)
+	return g
 }
 
 // BatchVJPCtx implements BatchCtxDifferentiable: cancellation is observed
 // between rows and probe chunks; partially estimated rows are discarded by
 // the caller (the search never uses a gradient from a cancelled sweep).
 func (f *fdComponent) BatchVJPCtx(ctx context.Context, xs, ybars *linalg.Matrix) (*linalg.Matrix, error) {
-	if ctx.Done() == nil {
-		return f.BatchVJP(xs, ybars), nil
-	}
 	if spe, ok := f.inner.(SparseProbeEvaluator); ok {
 		return f.sparseBatchVJP(ctx, spe, xs, ybars)
 	}
@@ -317,56 +228,16 @@ func (s *spsaComponent) Forward(x []float64) []float64 { return s.inner.Forward(
 
 // VJP implements Differentiable.
 func (s *spsaComponent) VJP(x, ybar []float64) []float64 {
-	n := len(x)
-	grad := make([]float64, n)
-	delta := linalg.GetVec(n)
-	xp := linalg.GetVec(n)
-	xm := linalg.GetVec(n)
-	defer linalg.PutVec(delta)
-	defer linalg.PutVec(xp)
-	defer linalg.PutVec(xm)
-	for k := 0; k < s.samples; k++ {
-		s.mu.Lock()
-		for j := range delta {
-			if s.r.Float64() < 0.5 {
-				delta[j] = 1
-			} else {
-				delta[j] = -1
-			}
-		}
-		s.mu.Unlock()
-		for j := range x {
-			xp[j] = x[j] + s.step*delta[j]
-			xm[j] = x[j] - s.step*delta[j]
-		}
-		fp := s.inner.Forward(xp)
-		fm := s.inner.Forward(xm)
-		gp, gm := 0.0, 0.0
-		for i := range ybar {
-			gp += ybar[i] * fp[i]
-			gm += ybar[i] * fm[i]
-		}
-		d := (gp - gm) / (2 * s.step)
-		for j := range grad {
-			grad[j] += d / delta[j]
-		}
-	}
-	inv := 1 / float64(s.samples)
-	for j := range grad {
-		grad[j] *= inv
-	}
-	return grad
+	g, _ := s.VJPCtx(context.Background(), x, ybar)
+	return g
 }
 
 // VJPCtx implements CtxDifferentiable: cancellation is observed between
 // two-point samples. An aborted call leaves the shared RNG stream advanced by
 // the samples already drawn; the caller discards the whole sweep, so the
 // stream position only matters for runs that complete — which consume exactly
-// the same draws as the plain VJP.
+// the same draws as an uncancelled call.
 func (s *spsaComponent) VJPCtx(ctx context.Context, x, ybar []float64) ([]float64, error) {
-	if ctx.Done() == nil {
-		return s.VJP(x, ybar), nil
-	}
 	n := len(x)
 	grad := make([]float64, n)
 	delta := linalg.GetVec(n)
@@ -417,38 +288,28 @@ func (s *spsaComponent) BatchForward(xs *linalg.Matrix) *linalg.Matrix {
 	return batchForwardStage(s.inner, xs)
 }
 
-// BatchVJPCtx implements BatchCtxDifferentiable: cancellation is observed
-// between rows (each row costs 2·samples forward evaluations).
-func (s *spsaComponent) BatchVJPCtx(ctx context.Context, xs, ybars *linalg.Matrix) (*linalg.Matrix, error) {
-	if ctx.Done() == nil {
-		return s.BatchVJP(xs, ybars), nil
-	}
-	R := xs.Rows
-	grads := linalg.NewMatrix(R, xs.Cols)
-	for r := 0; r < R; r++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		row, err := s.VJPCtx(ctx, xs.Row(r), ybars.Row(r))
-		if err != nil {
-			return nil, err
-		}
-		copy(grads.Row(r), row)
-	}
-	return grads, nil
+// BatchVJP implements BatchDifferentiable.
+func (s *spsaComponent) BatchVJP(xs, ybars *linalg.Matrix) *linalg.Matrix {
+	g, _ := s.BatchVJPCtx(context.Background(), xs, ybars)
+	return g
 }
 
-// BatchVJP implements BatchDifferentiable. Rows run sequentially (the RNG is
-// shared state), but each row's 2·samples probe points are packed into one
-// batch and evaluated through the batched engine. The ± deltas for a row are
-// drawn in the same order as the scalar VJP draws them, so a batched row
-// matches a scalar call made at the same point in the RNG stream.
-func (s *spsaComponent) BatchVJP(xs, ybars *linalg.Matrix) *linalg.Matrix {
+// BatchVJPCtx implements BatchCtxDifferentiable. Rows run sequentially (the
+// RNG is shared state), but each row's 2·samples probe points are packed
+// into one batch and evaluated through the batched engine. The ± deltas for
+// a row are drawn in the same order as the scalar VJP draws them, so a
+// batched row matches a scalar call made at the same point in the RNG
+// stream. Cancellation is observed between rows (each row costs 2·samples
+// forward evaluations).
+func (s *spsaComponent) BatchVJPCtx(ctx context.Context, xs, ybars *linalg.Matrix) (*linalg.Matrix, error) {
 	R, n := xs.Rows, xs.Cols
 	grads := linalg.NewMatrix(R, n)
 	probes := linalg.NewMatrix(2*s.samples, n)
 	deltas := linalg.NewMatrix(s.samples, n)
 	for r := 0; r < R; r++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		x, ybar, grad := xs.Row(r), ybars.Row(r), grads.Row(r)
 		s.mu.Lock()
 		for k := 0; k < s.samples; k++ {
@@ -489,5 +350,5 @@ func (s *spsaComponent) BatchVJP(xs, ybars *linalg.Matrix) *linalg.Matrix {
 			grad[j] *= inv
 		}
 	}
-	return grads
+	return grads, nil
 }

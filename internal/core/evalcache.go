@@ -38,9 +38,6 @@ type EvalCache struct {
 	// takes a lock.
 	subs  atomic.Pointer[[]*insertSub]
 	subMu sync.Mutex
-	// legacy is the subscriber installed via the deprecated SetOnInsert shim
-	// (nil when none is live); guarded by subMu.
-	legacy *insertSub
 }
 
 // insertSub is one registered on-insert observer. The struct identity is the
@@ -100,26 +97,6 @@ func (c *EvalCache) publishLocked(add, drop *insertSub) {
 		return
 	}
 	c.subs.Store(&next)
-}
-
-// SetOnInsert installs (or, with nil, removes) a single observation hook.
-//
-// Deprecated: SetOnInsert keeps the old last-wins, one-hook-at-a-time
-// contract for existing callers — it replaces only the hook it previously
-// installed and cannot see (or clobber) AddOnInsert subscriptions. New code
-// should use AddOnInsert, whose remove token makes concurrent searches over
-// a shared cache safe.
-func (c *EvalCache) SetOnInsert(fn func(x []float64, ratio, sys, opt float64)) {
-	c.subMu.Lock()
-	defer c.subMu.Unlock()
-	drop := c.legacy
-	c.legacy = nil
-	var add *insertSub
-	if fn != nil {
-		add = &insertSub{fn: fn}
-		c.legacy = add
-	}
-	c.publishLocked(add, drop)
 }
 
 type evalShard struct {

@@ -253,40 +253,6 @@ func TestEvalCacheAddOnInsertRegistry(t *testing.T) {
 	}
 }
 
-// TestEvalCacheSetOnInsertShimScoped pins the deprecated shim's scope: it
-// replaces only its own previous hook and never an AddOnInsert subscription.
-func TestEvalCacheSetOnInsertShimScoped(t *testing.T) {
-	cache := NewEvalCache(1<<8, 0)
-	var reg, legacy1, legacy2 int
-	remove := cache.AddOnInsert(func(x []float64, ratio, sys, opt float64) { reg++ })
-	cache.SetOnInsert(func(x []float64, ratio, sys, opt float64) { legacy1++ })
-	// Last-wins applies to the legacy slot only.
-	cache.SetOnInsert(func(x []float64, ratio, sys, opt float64) { legacy2++ })
-
-	insert := func(v float64) {
-		x := []float64{v}
-		k, s, ok := cache.keys(x)
-		if !ok {
-			t.Fatalf("finite point %v not keyable", x)
-		}
-		cache.put(x, k, s, v, v, 1)
-	}
-	insert(1)
-	if legacy1 != 0 || legacy2 != 1 || reg != 1 {
-		t.Fatalf("legacy last-wins broke: legacy1=%d legacy2=%d reg=%d", legacy1, legacy2, reg)
-	}
-	// SetOnInsert(nil) clears the legacy slot, not the registry.
-	cache.SetOnInsert(nil)
-	insert(2)
-	if legacy2 != 1 {
-		t.Fatalf("legacy hook fired after SetOnInsert(nil): %d", legacy2)
-	}
-	if reg != 2 {
-		t.Fatalf("SetOnInsert(nil) clobbered an AddOnInsert subscription: reg=%d", reg)
-	}
-	remove()
-}
-
 // TestEvalCacheNaNInfBypass is the regression for the implementation-defined
 // float->int conversion in key hashing: NaN or infinite demand coordinates
 // must bypass the cache (fresh scoring, no insert, no platform-dependent

@@ -313,10 +313,9 @@ func GradientSearchContext(ctx context.Context, target *AttackTarget, cfg Gradie
 			}
 		}
 		if len(observers) > 0 {
-			// AddOnInsert (not the legacy SetOnInsert) so concurrent searches
-			// sharing one cache each keep their own fan-out: the remove token
-			// detaches exactly this search's subscription when it returns,
-			// never another search's.
+			// Concurrent searches sharing one cache each keep their own
+			// fan-out: the remove token detaches exactly this search's
+			// subscription when it returns, never another search's.
 			remove := cfg.EvalCache.AddOnInsert(func(x []float64, ratio, sys, opt float64) {
 				for _, o := range observers {
 					o.ObserveTrueEval(x, ratio, sys, opt)

@@ -2,9 +2,9 @@ package core
 
 // -race regression for the shared-EvalCache observer clobbering bug: two
 // concurrent GradientSearchContext calls over ONE memo cache each install a
-// TrueEvalObserver fan-out. With the old last-wins SetOnInsert hook, the
-// search that finished first detached the other's observers (its deferred
-// SetOnInsert(nil) clobbered the shared slot), silently starving the
+// TrueEvalObserver fan-out. With a last-wins single-hook slot, the search
+// that finished first detached the other's observers (its deferred clear
+// clobbered the shared slot), silently starving the
 // surviving search's surrogate learner. The subscriber registry keeps every
 // live search's fan-out attached until that search itself returns.
 //

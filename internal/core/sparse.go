@@ -54,8 +54,8 @@ type SparseProbeEvaluator interface {
 
 // DenseProbes hides a component's SparseProbeEvaluator capability (if any),
 // forcing the finite-difference estimator back onto full-vector forwards.
-// Used to opt out of the fast path and as the baseline in equivalence tests
-// and benchmarks.
+// It is the reference the sparse-vs-dense equivalence tests and benchmarks
+// compare the fast path against.
 func DenseProbes(c Component) Component { return &denseProbes{inner: c} }
 
 type denseProbes struct{ inner Component }
@@ -74,8 +74,7 @@ func (d *denseProbes) Instrument(reg *obs.Registry) {
 // sparseVJPInto estimates grad via per-coordinate sparse probes, using
 // exactly the scalar FD arithmetic (copy fp, probe fm, dot against ybar) so
 // the result is bitwise identical to the dense path whenever the prober
-// honors the exactness contract. A nil done channel skips cancellation
-// checks. Returns ctx.Err() when cancelled.
+// honors the exactness contract. Returns ctx.Err() when cancelled.
 func (f *fdComponent) sparseVJPInto(ctx context.Context, spe SparseProbeEvaluator, x, ybar, grad []float64) error {
 	n := len(x)
 	var wg sync.WaitGroup
@@ -89,7 +88,7 @@ func (f *fdComponent) sparseVJPInto(ctx context.Context, spe SparseProbeEvaluato
 			fpBuf := linalg.GetVec(len(ybar))
 			defer linalg.PutVec(fpBuf)
 			for j := range jobs {
-				if ctx != nil && ctx.Err() != nil {
+				if ctx.Err() != nil {
 					continue // keep draining so the feeder never blocks
 				}
 				fp := prober.Probe(j, f.step)
@@ -103,21 +102,12 @@ func (f *fdComponent) sparseVJPInto(ctx context.Context, spe SparseProbeEvaluato
 			}
 		}()
 	}
-	if ctx == nil {
-		for j := 0; j < n; j++ {
-			jobs <- j
-		}
-	} else {
-		for j := 0; j < n && ctx.Err() == nil; j++ {
-			jobs <- j
-		}
+	for j := 0; j < n && ctx.Err() == nil; j++ {
+		jobs <- j
 	}
 	close(jobs)
 	wg.Wait()
-	if ctx != nil {
-		return ctx.Err()
-	}
-	return nil
+	return ctx.Err()
 }
 
 // sparseBatchVJP is the batched-row counterpart: rows are independent base
@@ -140,7 +130,7 @@ func (f *fdComponent) sparseBatchVJP(ctx context.Context, spe SparseProbeEvaluat
 			defer wg.Done()
 			var fpBuf []float64
 			for r := range rows {
-				if ctx != nil && ctx.Err() != nil {
+				if ctx.Err() != nil {
 					continue // keep draining so the feeder never blocks
 				}
 				x, ybar, grad := xs.Row(r), ybars.Row(r), grads.Row(r)
@@ -150,7 +140,7 @@ func (f *fdComponent) sparseBatchVJP(ctx context.Context, spe SparseProbeEvaluat
 				}
 				prober := spe.SparseProber(x)
 				for j := 0; j < n; j++ {
-					if ctx != nil && j%64 == 0 && ctx.Err() != nil {
+					if j%64 == 0 && ctx.Err() != nil {
 						break
 					}
 					fp := prober.Probe(j, f.step)
@@ -166,19 +156,13 @@ func (f *fdComponent) sparseBatchVJP(ctx context.Context, spe SparseProbeEvaluat
 			}
 		}()
 	}
-	if ctx == nil {
-		for r := 0; r < R; r++ {
-			rows <- r
-		}
-	} else {
-		for r := 0; r < R && ctx.Err() == nil; r++ {
-			rows <- r
-		}
+	for r := 0; r < R && ctx.Err() == nil; r++ {
+		rows <- r
 	}
 	close(rows)
 	wg.Wait()
-	if ctx != nil && ctx.Err() != nil {
-		return nil, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return grads, nil
 }

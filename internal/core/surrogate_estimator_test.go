@@ -330,7 +330,7 @@ func TestEvalCacheOnInsertHook(t *testing.T) {
 	cache := NewEvalCache(1<<8, 0)
 	var mu sync.Mutex
 	var got [][]float64
-	cache.SetOnInsert(func(x []float64, ratio, sys, opt float64) {
+	remove := cache.AddOnInsert(func(x []float64, ratio, sys, opt float64) {
 		mu.Lock()
 		got = append(got, append([]float64{}, x...))
 		mu.Unlock()
@@ -356,13 +356,13 @@ func TestEvalCacheOnInsertHook(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("hook missed a fresh insert: %d calls", len(got))
 	}
-	// Uninstalling stops observation.
-	cache.SetOnInsert(nil)
+	// Unsubscribing stops observation.
+	remove()
 	x3 := []float64{7, 8, 9}
 	k3, s3, _ := cache.keys(x3)
 	cache.put(x3, k3, s3, 4.0, 4, 1)
 	if len(got) != 2 {
-		t.Fatalf("hook fired after SetOnInsert(nil): %d calls", len(got))
+		t.Fatalf("hook fired after remove: %d calls", len(got))
 	}
 }
 

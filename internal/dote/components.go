@@ -203,8 +203,8 @@ func (m *Model) OpaqueRoutingPipeline() *core.Pipeline {
 
 // OpaqueRoutingPipelineDense is OpaqueRoutingPipeline with the fused stage
 // wrapped in core.DenseProbes: finite differences fall back to full-vector
-// forwards. It is the opt-out path (cmd/e2eperf -sparse=false) and the
-// baseline side of the sparse-vs-dense equivalence tests and benchmarks.
+// forwards. It is the reference side of the sparse-vs-dense equivalence
+// tests and benchmarks.
 func (m *Model) OpaqueRoutingPipelineDense() *core.Pipeline {
 	return core.NewPipeline(
 		&dnnStage{m},

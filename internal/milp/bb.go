@@ -5,45 +5,36 @@ import (
 	"context"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/lp"
 )
 
-// This file is the warm-started branch-and-bound engine: clone-free node
-// state, dual-simplex warm re-solves from retained parent bases, best-bound
-// node selection with pseudo-cost branching, and deterministic wave-parallel
-// subtree exploration. See DESIGN.md §15 for the invariants.
+// This file is the branch-and-bound engine: clone-free node state,
+// dual-simplex warm re-solves from retained parent bases, and best-bound
+// node selection with pseudo-cost branching, expanded in waves of a fixed
+// width. See DESIGN.md §15 for the invariants.
 //
 // Determinism contract. The solve result — Status, Objective, BestBound,
-// Nodes, X, bit for bit — is independent of Options.Workers and of how the
-// Executor schedules tasks, because:
-//
-//  1. Every node's LP relaxation is a pure function of (node bounds, parent
-//     basis snapshot). A worker loads the parent snapshot (lp.LoadBasis
-//     resets all pricing state) and ResolveBounds re-factorizes from a
-//     clean LU, so nothing of the worker's history leaks into the pivots.
-//  2. Node selection is synchronized: each wave pops a deterministic set of
-//     best-bound nodes from the heap BEFORE any of them is solved, so the
-//     frontier never depends on which solve finished first.
-//  3. All cross-node state — incumbent updates, child creation, pseudo-cost
-//     updates, open-bound tracking — mutates only in the fold step, which
-//     walks the wave in pop order on the coordinating goroutine.
-//
-// WaveWidth, by contrast, IS part of the search definition: it decides how
-// many frontier nodes are expanded per incumbent refresh.
+// Nodes, X, bit for bit — is independent of which pooled solver runs it and
+// of what that solver solved before, because every node's LP relaxation is
+// a pure function of (node bounds, parent basis snapshot): the worker loads
+// the parent snapshot (lp.LoadBasis resets all pricing state) and
+// ResolveBounds re-factorizes from a clean LU, and a node without a usable
+// snapshot invalidates all warm state before its cold solve. Concurrent
+// solves over the shared solver and basis pools therefore cannot see one
+// another.
 
-// DefaultWaveWidth is the number of best-bound nodes solved per wave when
-// Options.WaveWidth is zero. Eight keeps a typical pool busy without
-// over-expanding the frontier past what an incumbent-guided sequential
-// search would visit.
-const DefaultWaveWidth = 8
+// waveWidth is the number of best-bound nodes popped per wave. It is part
+// of the search definition: all nodes of a wave are pre-pruned against the
+// incumbent as of the wave's start, and their results fold back in pop
+// order, so a different width visits a different tree.
+const waveWidth = 8
 
 // bbNode is one branch-and-bound node: a single-variable bound tightening
 // relative to its parent, plus bookkeeping. Nodes live in one slice arena;
 // the full bound set of a node is the chain of tightenings up to the root,
-// applied and reverted incrementally by workers (no per-node maps, no LP
+// applied and reverted incrementally by the worker (no per-node maps, no LP
 // clones).
 type bbNode struct {
 	parent int32
@@ -69,9 +60,9 @@ var basisPool = sync.Pool{New: func() any { return new(lp.Basis) }}
 // solve first either loads a parent snapshot or invalidates the basis.
 var bbSolverPool = sync.Pool{New: func() any { return lp.NewSolver() }}
 
-// bbWorker is one worker's solving context: a private clone of the LP (so
-// bound overlays never race), a pooled revised solver, and the slice-backed
-// overlay stack of currently applied tightenings.
+// bbWorker is a solve's LP context: a private clone of the LP (so bound
+// overlays never touch the caller's problem), a pooled revised solver, and
+// the slice-backed overlay stack of currently applied tightenings.
 type bbWorker struct {
 	prob    *lp.Problem
 	solver  *lp.Solver
@@ -196,7 +187,8 @@ func (pc *pseudo) cost(v lp.VarID, up bool) float64 {
 
 // nodeHeap is the best-bound frontier: better relaxObj first (objective
 // direction), ties to the HIGHER node id. Newer ids are deeper in the tree,
-// so tie-breaking toward them recovers the legacy engine's diving behavior
+// so tie-breaking toward them recovers the depth-first cold-clone oracle's
+// diving behavior
 // on bound plateaus and finds incumbents sooner.
 type nodeHeap struct {
 	nodes *[]bbNode
@@ -225,7 +217,7 @@ func (h *nodeHeap) Pop() any {
 	return x
 }
 
-// solveWarm is the warm-started wave-parallel engine behind SolveCtx.
+// solveWarm is the branch-and-bound engine behind SolveCtx.
 func (p *Problem) solveWarm(ctx context.Context, start time.Time, opts Options) *Solution {
 	better := p.better
 	worstObj := p.worstObjective()
@@ -250,31 +242,15 @@ func (p *Problem) solveWarm(ctx context.Context, start time.Time, opts Options) 
 	}
 	unresolved := 0
 
-	// Worker contexts are created lazily: sequential solves touch only
-	// workers[0]. Slot k is only ever used by task index k of a wave, so
-	// creation inside a task is race-free; cloning the base problem reads
-	// shared immutable state only.
-	workers := make([]*bbWorker, opts.Workers)
-	getWorker := func(k int) *bbWorker {
-		if workers[k] == nil {
-			s := bbSolverPool.Get().(*lp.Solver)
-			prob := p.LP.Clone()
-			prob.Deadline = deadline
-			workers[k] = &bbWorker{prob: prob, solver: s, base: s.Stats.Snapshot()}
-		}
-		return workers[k]
-	}
+	s := bbSolverPool.Get().(*lp.Solver)
+	w := &bbWorker{prob: p.LP.Clone(), solver: s, base: s.Stats.Snapshot()}
+	w.prob.Deadline = deadline
 	defer func() {
-		for _, w := range workers {
-			if w == nil {
-				continue
-			}
-			d := w.solver.Stats.Snapshot().Sub(w.base)
-			sol.NodeResolves += int(d.BoundHits)
-			sol.DualPivots += int(d.DualPivots)
-			sol.ColdFallbacks += int(d.ColdSolves)
-			bbSolverPool.Put(w.solver)
-		}
+		d := w.solver.Stats.Snapshot().Sub(w.base)
+		sol.NodeResolves += int(d.BoundHits)
+		sol.DualPivots += int(d.DualPivots)
+		sol.ColdFallbacks += int(d.ColdSolves)
+		bbSolverPool.Put(w.solver)
 	}()
 
 	// release drops one pending-child reference from node id, recycling its
@@ -302,10 +278,9 @@ func (p *Problem) solveWarm(ctx context.Context, start time.Time, opts Options) 
 		return p.LP.VarBounds(v)
 	}
 
-	wave := make([]int32, 0, opts.WaveWidth)
-	solved := make([]*lp.Solution, opts.WaveWidth)
-	pruned := make([]bool, opts.WaveWidth)
-	jobs := make([]int, 0, opts.WaveWidth)
+	wave := make([]int32, 0, waveWidth)
+	solved := make([]*lp.Solution, waveWidth)
+	pruned := make([]bool, waveWidth)
 
 	for h.Len() > 0 {
 		if err := ctx.Err(); err != nil {
@@ -325,7 +300,7 @@ func (p *Problem) solveWarm(ctx context.Context, start time.Time, opts Options) 
 		}
 
 		// Pop the wave: the W best-bound nodes, fixed before any solve.
-		W := opts.WaveWidth
+		W := waveWidth
 		if r := opts.MaxNodes - sol.Nodes; W > r {
 			W = r
 		}
@@ -339,47 +314,12 @@ func (p *Problem) solveWarm(ctx context.Context, start time.Time, opts Options) 
 		sol.Nodes += W
 
 		// Pre-solve prune against the wave-start incumbent (pruned pops
-		// still count as explored nodes, matching the legacy engine).
-		jobs = jobs[:0]
+		// still count as explored nodes), then solve the survivors.
 		for i, id := range wave {
 			solved[i] = nil
 			pruned[i] = incumbentX != nil && !better(nodes[id].relaxObj, incumbent)
 			if !pruned[i] {
-				jobs = append(jobs, i)
-			}
-		}
-
-		// Solve the wave. Task k owns worker k; an atomic cursor deals
-		// jobs so a long solve never stalls the rest of the wave.
-		if nw := min(opts.Workers, len(jobs)); nw > 1 {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(nw)
-			for k := 0; k < nw; k++ {
-				k := k
-				task := func() {
-					defer wg.Done()
-					w := getWorker(k)
-					for {
-						j := int(next.Add(1)) - 1
-						if j >= len(jobs) {
-							return
-						}
-						ji := jobs[j]
-						solved[ji] = w.solveNode(nodes, wave[ji])
-					}
-				}
-				if opts.Executor != nil {
-					opts.Executor.Run(task)
-				} else {
-					go task()
-				}
-			}
-			wg.Wait()
-		} else if len(jobs) > 0 {
-			w := getWorker(0)
-			for _, ji := range jobs {
-				solved[ji] = w.solveNode(nodes, wave[ji])
+				solved[i] = w.solveNode(nodes, id)
 			}
 		}
 
@@ -480,9 +420,10 @@ func (p *Problem) solveWarm(ctx context.Context, start time.Time, opts Options) 
 	}
 
 	sol.Elapsed = time.Since(start)
-	// Exhaustion semantics are identical to the cold-clone engine: the heap
-	// drained without a budget break (a break always precedes the pops, so
-	// the unexplored frontier is exactly the heap's remnant).
+	// Exhausted means the heap drained without a budget break (a break
+	// always precedes the pops, so the unexplored frontier is exactly the
+	// heap's remnant). Checking Nodes < MaxNodes instead would misclassify a
+	// tree that empties on exactly the MaxNodes-th node.
 	exhausted := h.Len() == 0 && !budgetBreak
 	proven := exhausted && unresolved == 0
 	switch {
@@ -524,4 +465,17 @@ func (p *Problem) solveWarm(ctx context.Context, start time.Time, opts Options) 
 		}
 	}
 	return sol
+}
+
+// ctxDeadline folds Options.MaxTime and the context deadline into one
+// effective wall-clock deadline (zero when neither applies).
+func ctxDeadline(ctx context.Context, start time.Time, opts Options) time.Time {
+	var d time.Time
+	if opts.MaxTime > 0 {
+		d = start.Add(opts.MaxTime)
+	}
+	if cd, ok := ctx.Deadline(); ok && (d.IsZero() || cd.Before(d)) {
+		d = cd
+	}
+	return d
 }

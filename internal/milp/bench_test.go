@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -46,14 +47,14 @@ func benchPackingMILP() *Problem {
 	return p
 }
 
-// benchNodes runs the packing MILP b.N times under opts and reports node
-// throughput — the PR's headline number is nodes/sec warm vs cold-clone.
-func benchNodes(b *testing.B, opts Options) {
+// benchNodes runs the packing MILP b.N times through solve and reports
+// node throughput, warm engine vs cold-clone oracle.
+func benchNodes(b *testing.B, solve func(*Problem) *Solution) {
 	p := benchPackingMILP()
 	nodes := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := p.Solve(opts)
+		s := solve(p)
 		if s.Status != Optimal {
 			b.Fatalf("status %v after %d nodes", s.Status, s.Nodes)
 		}
@@ -63,19 +64,15 @@ func benchNodes(b *testing.B, opts Options) {
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/solve")
 }
 
-// BenchmarkPackingNodesColdClone is the legacy engine baseline: full LP
-// clone and cold solve per node.
+// BenchmarkPackingNodesColdClone is the oracle baseline: full LP clone and
+// cold solve per node.
 func BenchmarkPackingNodesColdClone(b *testing.B) {
-	benchNodes(b, Options{ColdClone: true})
+	benchNodes(b, func(p *Problem) *Solution {
+		return p.solveColdClone(context.Background(), Options{})
+	})
 }
 
-// BenchmarkPackingNodesWarm is the clone-free warm engine, sequential.
+// BenchmarkPackingNodesWarm is the clone-free warm engine.
 func BenchmarkPackingNodesWarm(b *testing.B) {
-	benchNodes(b, Options{})
-}
-
-// BenchmarkPackingNodesParallel is the warm engine with wave-parallel LP
-// solves (identical results, more cores).
-func BenchmarkPackingNodesParallel(b *testing.B) {
-	benchNodes(b, Options{Workers: 4})
+	benchNodes(b, func(p *Problem) *Solution { return p.Solve(Options{}) })
 }

@@ -8,12 +8,12 @@ import (
 	"repro/internal/lp"
 )
 
-// This file preserves the original branch-and-bound engine verbatim in its
-// search semantics: depth-first with most-fractional branching, a full
-// p.LP.Clone() and cold LP solve per node, and map-backed bound overrides
-// per child. It is deliberately NOT deleted: it is the equivalence oracle
-// the warm engine (bb.go) is pinned against in tests, and the baseline the
-// node-throughput benchmarks measure the warm engine's speedup over.
+// This file is the test oracle for the branch-and-bound engine in bb.go: the
+// original engine, verbatim in its search semantics — depth-first with
+// most-fractional branching, a full p.LP.Clone() and cold LP solve per
+// node, and map-backed bound overrides per child. The equivalence suite
+// pins bb.go against it, and BenchmarkPackingNodesColdClone measures the
+// warm engine's node throughput against it.
 
 type coldNode struct {
 	// bound overrides: variable -> (lo, hi)
@@ -22,7 +22,15 @@ type coldNode struct {
 	relaxObj float64
 }
 
-func (p *Problem) solveColdClone(ctx context.Context, start time.Time, opts Options) *Solution {
+// solveColdClone is SolveCtx on the oracle engine, with the same defaults.
+func (p *Problem) solveColdClone(ctx context.Context, opts Options) *Solution {
+	start := time.Now()
+	if opts.MaxNodes == 0 {
+		opts.MaxNodes = 100000
+	}
+	if opts.IntTol == 0 {
+		opts.IntTol = 1e-6
+	}
 	better := p.better
 	worstObj := p.worstObjective()
 
@@ -187,19 +195,6 @@ func (p *Problem) solveColdClone(ctx context.Context, start time.Time, opts Opti
 		sol.BestBound = worstObj
 	}
 	return sol
-}
-
-// ctxDeadline folds Options.MaxTime and the context deadline into one
-// effective wall-clock deadline (zero when neither applies).
-func ctxDeadline(ctx context.Context, start time.Time, opts Options) time.Time {
-	var d time.Time
-	if opts.MaxTime > 0 {
-		d = start.Add(opts.MaxTime)
-	}
-	if cd, ok := ctx.Deadline(); ok && (d.IsZero() || cd.Before(d)) {
-		d = cd
-	}
-	return d
 }
 
 func cloneBounds(b map[lp.VarID][2]float64) map[lp.VarID][2]float64 {

@@ -103,15 +103,7 @@ func (p *Problem) SetObjective(sense lp.Sense, expr *lp.Expr) {
 	p.LP.SetObjective(sense, expr)
 }
 
-// Executor runs independent tasks, possibly concurrently. It is
-// structurally identical to core.Executor, so a serve.Pool (or any other
-// core executor) plugs in directly without milp importing the search layer.
-// Submitted tasks never block on one another.
-type Executor interface {
-	Run(task func())
-}
-
-// Options bound the branch-and-bound effort and select the engine.
+// Options bound the branch-and-bound effort.
 type Options struct {
 	// MaxNodes caps the number of explored nodes (0 = 100000).
 	MaxNodes int
@@ -119,29 +111,9 @@ type Options struct {
 	MaxTime time.Duration
 	// IntTol is the integrality tolerance (0 = 1e-6).
 	IntTol float64
-
-	// Workers is the number of LP relaxations solved concurrently within a
-	// wave (≤1 = sequential). The result is bitwise independent of Workers
-	// and of how the Executor schedules tasks: every node's relaxation is a
-	// pure function of (node bounds, parent basis snapshot), and incumbent
-	// and pseudo-cost folding happens in deterministic heap-pop order.
-	Workers int
-	// WaveWidth is the number of best-bound nodes popped per synchronized
-	// wave (0 = 8). Unlike Workers it IS part of the search definition —
-	// changing it changes which nodes get solved before the next incumbent
-	// lands — so it is an Options field, not a runtime autotuning knob.
-	WaveWidth int
-	// Executor, when non-nil and Workers > 1, runs the per-wave LP solves
-	// (e.g. a shared serve.Pool). Nil falls back to ad-hoc goroutines.
-	Executor Executor
 	// Obs, when non-nil, receives solver telemetry: counters "milp.nodes",
 	// "milp.warm_hits", "milp.dual_pivots", "milp.cold_fallbacks".
 	Obs *obs.Registry
-
-	// ColdClone selects the legacy engine that clones the full LP and
-	// cold-solves it at every node. It is kept as the equivalence oracle
-	// for the warm engine (and for A/B benchmarks), not for production use.
-	ColdClone bool
 }
 
 // Solution is a MILP solve result.
@@ -170,8 +142,7 @@ type Solution struct {
 	// NodeResolves counts node relaxations completed warm from a retained
 	// parent basis (lp BoundHits); DualPivots the dual-simplex pivots those
 	// re-solves spent; ColdFallbacks the relaxations that went through a
-	// full cold solve (the root, plus any warm-path bailouts). All zero
-	// under the ColdClone engine.
+	// full cold solve (the root, plus any warm-path bailouts).
 	NodeResolves  int
 	DualPivots    int
 	ColdFallbacks int
@@ -200,8 +171,7 @@ func (p *Problem) Solve(opts Options) *Solution {
 
 // SolveCtx runs branch and bound honoring ctx: on cancellation or deadline
 // the best-so-far Solution is returned with StopReason set, mirroring the
-// core search layer's stop semantics. The warm engine (bb.go) is the
-// default; Options.ColdClone selects the legacy per-node-clone engine.
+// core search layer's stop semantics. The engine lives in bb.go.
 func (p *Problem) SolveCtx(ctx context.Context, opts Options) *Solution {
 	start := time.Now()
 	if opts.MaxNodes == 0 {
@@ -210,18 +180,7 @@ func (p *Problem) SolveCtx(ctx context.Context, opts Options) *Solution {
 	if opts.IntTol == 0 {
 		opts.IntTol = 1e-6
 	}
-	if opts.WaveWidth == 0 {
-		opts.WaveWidth = DefaultWaveWidth
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
-	var sol *Solution
-	if opts.ColdClone {
-		sol = p.solveColdClone(ctx, start, opts)
-	} else {
-		sol = p.solveWarm(ctx, start, opts)
-	}
+	sol := p.solveWarm(ctx, start, opts)
 	if opts.Obs != nil {
 		opts.Obs.Counter("milp.nodes").Add(int64(sol.Nodes))
 		opts.Obs.Counter("milp.warm_hits").Add(int64(sol.NodeResolves))

@@ -2,6 +2,7 @@ package milp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -11,20 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
-
-// goExecutor is the simplest possible Executor: one goroutine per task.
-type goExecutor struct{}
-
-func (goExecutor) Run(task func()) { go task() }
-
-// serialExecutor runs every task inline, in submission order — a
-// pathological schedule (full serialization) that a correct engine must not
-// be able to distinguish from any other. Safe here because wave tasks never
-// block on one another: the first task drains the shared job cursor and the
-// rest return immediately.
-type serialExecutor struct{}
-
-func (serialExecutor) Run(task func()) { task() }
 
 // randomMILP builds a bounded random MILP: integer variables over small
 // boxes, a few continuous variables, and constraints anchored on a point
@@ -97,10 +84,10 @@ func randomMILP(nInt, nCont, cons int, seed uint64) *Problem {
 
 // TestWarmMatchesColdCloneRandomized is the engine equivalence suite: on
 // budget-free randomized MILPs the warm-started engine must agree with the
-// legacy cold-clone engine on Status, and (when optimal) on the incumbent
-// objective within 1e-9 and on BestBound == Objective. Both engines run the
-// same revised LP engine, so this pins the branch-and-bound logic (warm
-// bound re-solves, snapshots, wave scheduling), not the LP; lp's
+// cold-clone oracle (coldclone_test.go) on Status, and (when optimal) on the
+// incumbent objective within 1e-9 and on BestBound == Objective. Both
+// engines run the same revised LP engine, so this pins the branch-and-bound
+// logic (warm bound re-solves, snapshots, wave scheduling), not the LP; lp's
 // TestBranchNodeRelaxationsMatchDense checks these node relaxations against
 // the dense oracle.
 func TestWarmMatchesColdCloneRandomized(t *testing.T) {
@@ -112,7 +99,7 @@ func TestWarmMatchesColdCloneRandomized(t *testing.T) {
 		for seed := uint64(1); seed <= 30; seed++ {
 			p := randomMILP(sh.nInt, sh.nCont, sh.cons, seed*131+uint64(sh.nInt))
 			warm := p.Solve(Options{})
-			cold := p.Solve(Options{ColdClone: true})
+			cold := p.solveColdClone(context.Background(), Options{})
 			statuses[warm.Status]++
 			if warm.Status != cold.Status {
 				t.Fatalf("%+v seed %d: warm %v, cold %v", sh, seed, warm.Status, cold.Status)
@@ -148,54 +135,47 @@ func TestWarmMatchesColdCloneRandomized(t *testing.T) {
 	}
 }
 
-// TestWarmParallelDeterminism is the scheduling-independence contract:
-// Status, Objective, BestBound, Nodes, and X must be bitwise identical for
-// any worker count and for pool-executed solves, given the same WaveWidth.
-func TestWarmParallelDeterminism(t *testing.T) {
-	for seed := uint64(1); seed <= 12; seed++ {
-		p := randomMILP(9, 2, 6, seed*977)
-		ref := p.Solve(Options{Workers: 1})
-		configs := []Options{
-			{Workers: 2},
-			{Workers: 8},
-			{Workers: 4, Executor: goExecutor{}},
-			{Workers: 4, Executor: serialExecutor{}},
-		}
-		for ci, o := range configs {
-			got := p.Solve(o)
-			if got.Status != ref.Status || got.Nodes != ref.Nodes ||
-				got.Objective != ref.Objective || got.BestBound != ref.BestBound {
-				t.Fatalf("seed %d config %d: got %v/%d/%x/%x, want %v/%d/%x/%x",
-					seed, ci, got.Status, got.Nodes, got.Objective, got.BestBound,
-					ref.Status, ref.Nodes, ref.Objective, ref.BestBound)
-			}
-			if len(got.X) != len(ref.X) {
-				t.Fatalf("seed %d config %d: X lengths %d vs %d", seed, ci, len(got.X), len(ref.X))
-			}
-			for j := range got.X {
-				if got.X[j] != ref.X[j] {
-					t.Fatalf("seed %d config %d: X[%d] = %x, want %x (not bitwise)",
-						seed, ci, j, got.X[j], ref.X[j])
-				}
-			}
+// sameSolution fails unless got equals want bitwise on Status, Nodes,
+// Objective, BestBound and X.
+func sameSolution(t *testing.T, what string, got, want *Solution) {
+	t.Helper()
+	if got.Status != want.Status || got.Nodes != want.Nodes ||
+		got.Objective != want.Objective || got.BestBound != want.BestBound {
+		t.Fatalf("%s: got %v/%d/%x/%x, want %v/%d/%x/%x", what,
+			got.Status, got.Nodes, got.Objective, got.BestBound,
+			want.Status, want.Nodes, want.Objective, want.BestBound)
+	}
+	if len(got.X) != len(want.X) {
+		t.Fatalf("%s: X lengths %d vs %d", what, len(got.X), len(want.X))
+	}
+	for j := range got.X {
+		if got.X[j] != want.X[j] {
+			t.Fatalf("%s: X[%d] = %x, want %x (not bitwise)", what, j, got.X[j], want.X[j])
 		}
 	}
 }
 
-// TestWarmWaveWidthIsSearchDefining documents the flip side of the
-// determinism contract: WaveWidth is part of the search definition, and
-// repeated solves at ANY fixed width are self-consistent.
-func TestWarmWaveWidthIsSearchDefining(t *testing.T) {
-	p := fractionalKnapsack(12, 3)
-	for _, ww := range []int{1, 4, 8, 16} {
-		a := p.Solve(Options{WaveWidth: ww})
-		b := p.Solve(Options{WaveWidth: ww, Workers: 8})
-		if a.Status != Optimal || b.Status != Optimal {
-			t.Fatalf("width %d: statuses %v/%v", ww, a.Status, b.Status)
-		}
-		if a.Objective != b.Objective || a.Nodes != b.Nodes {
-			t.Fatalf("width %d: obj %v/%v nodes %d/%d", ww, a.Objective, b.Objective, a.Nodes, b.Nodes)
-		}
+// TestWarmParallelDeterminism is the determinism contract that concurrent
+// callers rely on: a solve is bitwise independent of what the pooled solver
+// that runs it solved before, and of a live deadline or context that never
+// fires. Each seed is re-solved after every other seed has run through the
+// pool, forward and in reverse.
+func TestWarmParallelDeterminism(t *testing.T) {
+	const seeds = 12
+	probs := make([]*Problem, seeds)
+	refs := make([]*Solution, seeds)
+	for i := range probs {
+		probs[i] = randomMILP(9, 2, 6, uint64(i+1)*977)
+		refs[i] = probs[i].Solve(Options{})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for i := seeds - 1; i >= 0; i-- {
+		got := probs[i].SolveCtx(ctx, Options{MaxTime: time.Hour})
+		sameSolution(t, fmt.Sprintf("seed %d (reverse, live ctx)", i+1), got, refs[i])
+	}
+	for i := range probs {
+		sameSolution(t, fmt.Sprintf("seed %d (re-solve)", i+1), probs[i].Solve(Options{}), refs[i])
 	}
 }
 
@@ -230,7 +210,7 @@ func TestSolveCtxCancellation(t *testing.T) {
 	}
 
 	// The cold-clone oracle honors the same contract.
-	s = p.SolveCtx(cancelled, Options{ColdClone: true})
+	s = p.solveColdClone(cancelled, Options{})
 	if s.Nodes != 0 || s.StopReason != StopCancelled {
 		t.Fatalf("cancelled ctx (cold clone): nodes %d reason %q", s.Nodes, s.StopReason)
 	}
@@ -267,33 +247,37 @@ func TestWarmTelemetry(t *testing.T) {
 	}
 }
 
-// TestConcurrentParallelSolves is the in-package -race leg: many concurrent
-// PARALLEL solves (each spawning wave workers that share the package-level
-// solver and basis pools) must all agree with the sequential reference. The
-// variant sharing one work-stealing serve.Pool lives in internal/serve
-// (TestPoolBackedMILPDeterminism) — serve cannot be imported from here
-// without a cycle through whitebox.
-func TestConcurrentParallelSolves(t *testing.T) {
-	base := randomMILP(8, 2, 6, 42)
-	ref := base.Solve(Options{Workers: 1})
-
+// TestConcurrentSolvesSharePools is the in-package -race leg: concurrent
+// solves of DIFFERENT problems draw solvers and basis snapshots from the
+// same package-level pools (bbSolverPool, basisPool), as alloc's concurrent
+// restarts do, and each must still equal its own sequential solve bitwise.
+// Every goroutine solves its problem twice, so a pooled solver that kept
+// another problem's state would show up as a mismatch. The instances are
+// seeds 5–12 of TestWarmParallelDeterminism: all one shape, and sensitive
+// enough that skipping the cold-solve basis invalidation fails this test.
+func TestConcurrentSolvesSharePools(t *testing.T) {
 	const searches = 8
+	probs := make([]*Problem, searches)
+	refs := make([]*Solution, searches)
+	for i := range probs {
+		probs[i] = randomMILP(9, 2, 6, uint64(i+5)*977)
+		refs[i] = probs[i].Solve(Options{})
+	}
 	var wg sync.WaitGroup
-	sols := make([]*Solution, searches)
+	sols := make([][2]*Solution, searches)
 	for i := 0; i < searches; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sols[i] = base.Clone().Solve(Options{Workers: 3})
+			p := probs[i].Clone()
+			sols[i][0] = p.Solve(Options{})
+			sols[i][1] = p.Solve(Options{})
 		}(i)
 	}
 	wg.Wait()
-	for i, s := range sols {
-		if s.Status != ref.Status || s.Objective != ref.Objective ||
-			s.BestBound != ref.BestBound || s.Nodes != ref.Nodes {
-			t.Fatalf("search %d: %v/%v/%v/%d, want %v/%v/%v/%d",
-				i, s.Status, s.Objective, s.BestBound, s.Nodes,
-				ref.Status, ref.Objective, ref.BestBound, ref.Nodes)
+	for i, pair := range sols {
+		for k, s := range pair {
+			sameSolution(t, fmt.Sprintf("problem %d solve %d", i, k), s, refs[i])
 		}
 	}
 }

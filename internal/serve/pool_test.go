@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -71,4 +74,48 @@ func TestPoolRunAfterClose(t *testing.T) {
 	done := make(chan struct{})
 	p.Run(func() { close(done) })
 	<-done
+}
+
+// BenchmarkPoolThroughput is the fleet-throughput benchmark ROADMAP item 3
+// left open: complete gradient searches per hour when a fleet of concurrent
+// jobs shards all its restarts over one work-stealing pool — the number a
+// capacity planner needs to size a gating daemon. Uses the same synthetic
+// cheap target as the serve tests so the measured cost is search machinery
+// plus pool scheduling, not model training.
+func BenchmarkPoolThroughput(b *testing.B) {
+	fleet := newSyntheticFleet()
+	pool := NewPool(0, obs.NewRegistry())
+	defer pool.Close()
+
+	const inflight = 4
+	sem := make(chan struct{}, inflight)
+	start := time.Now()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i := 0; i < b.N; i++ {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			target, _, err := fleet.build(&JobSpec{Label: fmt.Sprintf("bench-%d", i)})
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			cfg := core.DefaultGradientConfig()
+			cfg.Iters = 30
+			cfg.Restarts = 6
+			cfg.Seed = uint64(i + 1)
+			cfg.Executor = pool
+			if _, err := core.GradientSearch(target, cfg); err != nil {
+				b.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	b.StopTimer()
+	if el := time.Since(start).Hours(); el > 0 {
+		b.ReportMetric(float64(b.N)/el, "searches/hour")
+	}
 }

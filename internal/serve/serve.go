@@ -43,9 +43,6 @@ type JobSpec struct {
 type Scenario struct {
 	// Opaque fuses routing+MLU into a gray-box stage with FD gradients.
 	Opaque bool `json:"opaque,omitempty"`
-	// Dense (with Opaque) forces dense full-vector probing instead of the
-	// incremental sparse evaluators.
-	Dense bool `json:"dense,omitempty"`
 	// FDStep overrides the finite-difference probe step (default 1e-4).
 	FDStep float64 `json:"fd_step,omitempty"`
 	// SparseRefresh overrides the incremental evaluators' full-recompute
@@ -496,8 +493,8 @@ func specDigest(spec *JobSpec) string {
 	} else {
 		fmt.Fprintf(h, "path:%s", spec.CheckpointPath)
 	}
-	fmt.Fprintf(h, "|opaque=%t dense=%t fd=%g refresh=%d",
-		spec.Scenario.Opaque, spec.Scenario.Dense, spec.Scenario.FDStep, spec.Scenario.SparseRefresh)
+	fmt.Fprintf(h, "|opaque=%t fd=%g refresh=%d",
+		spec.Scenario.Opaque, spec.Scenario.FDStep, spec.Scenario.SparseRefresh)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -749,11 +746,7 @@ func BuildFromCheckpoint(spec *JobSpec) (*core.AttackTarget, string, error) {
 		if fd <= 0 {
 			fd = 1e-4
 		}
-		if sc.Dense {
-			st.Target.Pipeline = st.Model.OpaqueRoutingPipelineDense().Grayboxed(fd)
-		} else {
-			st.Target.Pipeline = st.Model.OpaqueRoutingPipeline().Grayboxed(fd)
-		}
+		st.Target.Pipeline = st.Model.OpaqueRoutingPipeline().Grayboxed(fd)
 	}
 	topo := st.Opts.Topology
 	if topo == "" {
