@@ -71,88 +71,98 @@ func (d *denseProbes) Instrument(reg *obs.Registry) {
 	}
 }
 
-// sparseVJPInto estimates grad via per-coordinate sparse probes, using
-// exactly the scalar FD arithmetic (copy fp, probe fm, dot against ybar) so
-// the result is bitwise identical to the dense path whenever the prober
-// honors the exactness contract. Returns ctx.Err() when cancelled.
+// rowCoords returns the coordinates one FD row at p's base point must
+// probe: p's certified support when p is a SupportCertifier — every other
+// coordinate's central difference is exactly zero, which the caller's
+// zeroed grad already holds — and all n coordinates otherwise.
+func rowCoords(p SparseProber, step float64, n int) []int {
+	if sc, ok := p.(SupportCertifier); ok {
+		return sc.CertifiedSupport(step)
+	}
+	all := make([]int, n)
+	for j := range all {
+		all[j] = j
+	}
+	return all
+}
+
+// centralDiff returns ybar·(f(x + step·e_j) − f(x − step·e_j)) at p's base
+// point — the scalar FD arithmetic (copy fp, probe fm, dot against ybar)
+// that keeps a sparse row bitwise identical to the dense one. fpBuf holds
+// len(ybar) scratch values.
+func centralDiff(p SparseProber, j int, step float64, ybar, fpBuf []float64) float64 {
+	fp := p.Probe(j, step)
+	copy(fpBuf, fp)
+	fm := p.Probe(j, -step)
+	s := 0.0
+	for i := range ybar {
+		s += ybar[i] * (fpBuf[i] - fm[i])
+	}
+	return s
+}
+
+// sweepInto writes grad[j] for the coordinates coords[from], coords[from +
+// stride], ... of p's base point, leaving every other entry untouched. It
+// stops early, with the row unfinished, once ctx fires.
+func (f *fdComponent) sweepInto(ctx context.Context, p SparseProber, coords []int, from, stride int, ybar, grad []float64) {
+	fpBuf := linalg.GetVec(len(ybar))
+	defer linalg.PutVec(fpBuf)
+	for k := from; k < len(coords); k += stride {
+		if ctx.Err() != nil {
+			return
+		}
+		j := coords[k]
+		grad[j] = centralDiff(p, j, f.step, ybar, fpBuf) / (2 * f.step)
+	}
+}
+
+// sparseVJPInto estimates grad (zeroed by the caller) via sparse probes of
+// the row's coordinates (see rowCoords), striped over the estimator's
+// workers. The certificate is computed once, on the first worker's prober;
+// each further worker binds a prober of its own. The result is bitwise
+// identical to the dense path whenever the prober honors the exactness and
+// certificate contracts. Returns ctx.Err() when cancelled.
 func (f *fdComponent) sparseVJPInto(ctx context.Context, spe SparseProbeEvaluator, x, ybar, grad []float64) error {
-	n := len(x)
+	first := spe.SparseProber(x)
+	coords := rowCoords(first, f.step, len(x))
+	workers := max(1, min(f.workers, len(coords)))
 	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < f.workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			prober := spe.SparseProber(x)
-			defer prober.Close()
-			fpBuf := linalg.GetVec(len(ybar))
-			defer linalg.PutVec(fpBuf)
-			for j := range jobs {
-				if ctx.Err() != nil {
-					continue // keep draining so the feeder never blocks
-				}
-				fp := prober.Probe(j, f.step)
-				copy(fpBuf, fp)
-				fm := prober.Probe(j, -f.step)
-				s := 0.0
-				for i := range ybar {
-					s += ybar[i] * (fpBuf[i] - fm[i])
-				}
-				grad[j] = s / (2 * f.step)
+			p := first
+			if w > 0 {
+				p = spe.SparseProber(x)
 			}
+			defer p.Close()
+			f.sweepInto(ctx, p, coords, w, workers, ybar, grad)
 		}()
 	}
-	for j := 0; j < n && ctx.Err() == nil; j++ {
-		jobs <- j
-	}
-	close(jobs)
 	wg.Wait()
 	return ctx.Err()
 }
 
 // sparseBatchVJP is the batched-row counterpart: rows are independent base
-// points, each worker binds one prober per row and sweeps its coordinates.
+// points, each worker binds one prober per row and sweeps that row's
+// coordinates serially.
 func (f *fdComponent) sparseBatchVJP(ctx context.Context, spe SparseProbeEvaluator, xs, ybars *linalg.Matrix) (*linalg.Matrix, error) {
 	R, n := xs.Rows, xs.Cols
 	grads := linalg.NewMatrix(R, n)
-	workers := f.workers
-	if workers > R {
-		workers = R
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(f.workers, R))
 	var wg sync.WaitGroup
 	rows := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var fpBuf []float64
 			for r := range rows {
 				if ctx.Err() != nil {
 					continue // keep draining so the feeder never blocks
 				}
-				x, ybar, grad := xs.Row(r), ybars.Row(r), grads.Row(r)
-				if fpBuf == nil {
-					fpBuf = linalg.GetVec(len(ybar))
-					defer linalg.PutVec(fpBuf)
-				}
-				prober := spe.SparseProber(x)
-				for j := 0; j < n; j++ {
-					if j%64 == 0 && ctx.Err() != nil {
-						break
-					}
-					fp := prober.Probe(j, f.step)
-					copy(fpBuf, fp)
-					fm := prober.Probe(j, -f.step)
-					s := 0.0
-					for i := range ybar {
-						s += ybar[i] * (fpBuf[i] - fm[i])
-					}
-					grad[j] = s / (2 * f.step)
-				}
-				prober.Close()
+				p := spe.SparseProber(xs.Row(r))
+				f.sweepInto(ctx, p, rowCoords(p, f.step, n), 0, 1, ybars.Row(r), grads.Row(r))
+				p.Close()
 			}
 		}()
 	}

@@ -455,12 +455,10 @@ func (e *SurrogateEstimator) recordSupport(x, grad []float64) {
 // Two restriction mechanisms, tried in order:
 //
 // Certified support. When the component's prober implements
-// SupportCertifier, the row probes exactly the coordinates the prober
-// certifies could affect the output at ±step — every omitted coordinate is
-// GUARANTEED (by the certifier's contract) to produce a bitwise-zero central
-// difference, so the row equals the full FD row bitwise at a fraction of the
-// probes. On MLU that certified set is the coordinates crossing the
-// bottleneck link or a link within probe-reach of it.
+// SupportCertifier, the row is the FD estimator's certified sweep (see
+// rowCoords): every omitted coordinate is GUARANTEED to produce a
+// bitwise-zero central difference, so the row equals the full FD row
+// bitwise and no ranking is involved.
 //
 // Ranked blocks (generic fallback, no certifier). The previous row's
 // recorded support is probed first (the bottleneck rarely moves between
@@ -474,32 +472,23 @@ func (e *SurrogateEstimator) recordSupport(x, grad []float64) {
 //
 // Probed coordinates use the FD estimator's exact arithmetic, bitwise
 // identical to a full FD row on those coordinates. Returns the number of
-// coordinates probed.
-func (e *SurrogateEstimator) guidedVJPInto(x, ybar, grad []float64) int {
+// coordinates probed. A certified sweep stops early once ctx fires; callers
+// check ctx before using the row.
+func (e *SurrogateEstimator) guidedVJPInto(ctx context.Context, x, ybar, grad []float64) int {
 	n := len(x)
 	step := e.fd.step
 	fpBuf := linalg.GetVec(len(ybar))
 	defer linalg.PutVec(fpBuf)
-	probe := func(j int) float64 { panic("unset") }
-	var certified []int
-	haveCert := false
+	var probe func(j int) float64
 	if spe, ok := e.fd.inner.(SparseProbeEvaluator); ok {
 		prober := spe.SparseProber(x)
 		defer prober.Close()
 		if sc, ok := prober.(SupportCertifier); ok {
-			certified = sc.CertifiedSupport(step)
-			haveCert = true
+			certified := sc.CertifiedSupport(step)
+			e.fd.sweepInto(ctx, prober, certified, 0, 1, ybar, grad)
+			return len(certified)
 		}
-		probe = func(j int) float64 {
-			fp := prober.Probe(j, step)
-			copy(fpBuf, fp)
-			fm := prober.Probe(j, -step)
-			s := 0.0
-			for i := range ybar {
-				s += ybar[i] * (fpBuf[i] - fm[i])
-			}
-			return s
-		}
+		probe = func(j int) float64 { return centralDiff(prober, j, step, ybar, fpBuf) }
 	} else {
 		xp := linalg.GetVec(n)
 		defer linalg.PutVec(xp)
@@ -529,19 +518,6 @@ func (e *SurrogateEstimator) guidedVJPInto(x, ybar, grad []float64) int {
 		if s != 0 {
 			seen = true
 		}
-	}
-
-	// Certified path: probe exactly the certified set. No ranking, no
-	// stopping rule — the omitted coordinates are zero by the certifier's
-	// guarantee, not by inference, so the row is bitwise the full FD row.
-	if haveCert {
-		for _, j := range certified {
-			if j >= 0 && j < n && !probedMark[j] {
-				doProbe(j)
-			}
-		}
-		e.recordSupport(x, grad)
-		return probed
 	}
 
 	// Ranked path. Rank all coordinates by the magnitude of the surrogate's
@@ -604,24 +580,20 @@ func (e *SurrogateEstimator) guidedVJPInto(x, ybar, grad []float64) int {
 // VJP implements Differentiable: guided-sparse probing when the surrogate is
 // trusted, full sparse-FD probing otherwise.
 func (e *SurrogateEstimator) VJP(x, ybar []float64) []float64 {
-	if e.trusted() {
-		grad := make([]float64, len(x))
-		e.countGuided(e.guidedVJPInto(x, ybar, grad))
-		return grad
-	}
-	e.countFD(1)
-	grad := e.fd.VJP(x, ybar)
-	e.recordSupport(x, grad)
-	return grad
+	g, _ := e.VJPCtx(context.Background(), x, ybar)
+	return g
 }
 
-// VJPCtx implements CtxDifferentiable. The guided path probes a handful of
-// blocks and checks are per full-FD fallback only; the FD path observes
-// cancellation per coordinate.
+// VJPCtx implements CtxDifferentiable. The certified sweep and the FD path
+// observe cancellation per probed coordinate, the ranked sweep only after
+// the row; a cancelled row is discarded.
 func (e *SurrogateEstimator) VJPCtx(ctx context.Context, x, ybar []float64) ([]float64, error) {
 	if e.trusted() {
 		grad := make([]float64, len(x))
-		e.countGuided(e.guidedVJPInto(x, ybar, grad))
+		e.countGuided(e.guidedVJPInto(ctx, x, ybar, grad))
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		return grad, nil
 	}
 	e.countFD(1)
@@ -648,19 +620,8 @@ func (e *SurrogateEstimator) BatchForward(xs *linalg.Matrix) *linalg.Matrix {
 // untrusted batches fall through to the FD estimator's probe batching
 // (sparse when available).
 func (e *SurrogateEstimator) BatchVJP(xs, ybars *linalg.Matrix) *linalg.Matrix {
-	if e.trusted() {
-		grads := linalg.NewMatrix(xs.Rows, xs.Cols)
-		for r := 0; r < xs.Rows; r++ {
-			e.countGuided(e.guidedVJPInto(xs.Row(r), ybars.Row(r), grads.Row(r)))
-		}
-		return grads
-	}
-	e.countFD(xs.Rows)
-	grads := e.fd.BatchVJP(xs, ybars)
-	if grads.Rows > 0 {
-		e.recordSupport(xs.Row(grads.Rows-1), grads.Row(grads.Rows-1))
-	}
-	return grads
+	g, _ := e.BatchVJPCtx(context.Background(), xs, ybars)
+	return g
 }
 
 // BatchVJPCtx implements BatchCtxDifferentiable (see VJPCtx).
@@ -668,10 +629,10 @@ func (e *SurrogateEstimator) BatchVJPCtx(ctx context.Context, xs, ybars *linalg.
 	if e.trusted() {
 		grads := linalg.NewMatrix(xs.Rows, xs.Cols)
 		for r := 0; r < xs.Rows; r++ {
+			e.countGuided(e.guidedVJPInto(ctx, xs.Row(r), ybars.Row(r), grads.Row(r)))
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			e.countGuided(e.guidedVJPInto(xs.Row(r), ybars.Row(r), grads.Row(r)))
 		}
 		return grads, nil
 	}

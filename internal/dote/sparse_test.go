@@ -1,11 +1,23 @@
 package dote
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/linalg"
+	"repro/internal/paths"
 	"repro/internal/rng"
+	"repro/internal/topology"
 )
+
+// geantModel is an untrained DOTE-Curr model on GÉANT at K=4, the shape of
+// the CI-gate checkpoint: n = 2292 FD coordinates at the fused stage.
+func geantModel() *Model {
+	cfg := DefaultConfig(Curr)
+	cfg.Hidden = []int{48}
+	return New(paths.NewPathSet(topology.Geant(), 4), cfg)
+}
 
 // randStageInput draws a [splits | demand] vector for the fused routing+MLU
 // stage, with a sprinkling of exact zeros so the f==0 skip in the forward
@@ -70,6 +82,71 @@ func TestOpaqueSparseGradBitwise(t *testing.T) {
 	}
 }
 
+// TestCertifiedRowsMatchFullRowsGeant pins the certified sweep against the
+// dense full-forward reference at random GÉANT demand points: the sparse
+// estimator probes only the prober's certified support, and every row —
+// scalar VJPCtx and batched BatchVJPCtx (R = 3) — must still equal the full
+// FD row bitwise. The test also checks the certificate really restricts the
+// sweep, so it cannot pass vacuously.
+func TestCertifiedRowsMatchFullRowsGeant(t *testing.T) {
+	m := geantModel()
+	certified := m.OpaqueRoutingPipeline().Grayboxed(1e-4)
+	dense := m.OpaqueRoutingPipelineDense().Grayboxed(1e-4)
+	stage := newOpaqueRoutingStage(m)
+	maxD := m.PS.Graph.AvgLinkCapacity()
+	r := rng.New(23)
+	ctx := context.Background()
+	const R = 3
+	xs := linalg.NewMatrix(R, m.InputDim())
+	ybars := linalg.NewMatrix(R, 1)
+	for row := 0; row < R; row++ {
+		x := xs.Row(row)
+		for i := range x {
+			x[i] = r.Float64() * maxD
+		}
+		ybars.Row(row)[0] = []float64{1, -0.75, 2.5}[row]
+
+		// The fused stage's input at this point, and its certified support.
+		in := x
+		for _, s := range certified.Stages()[:2] {
+			in = s.Forward(in)
+		}
+		pr := stage.SparseProber(in)
+		sup := pr.(core.SupportCertifier).CertifiedSupport(1e-4)
+		pr.Close()
+		if n := len(in); len(sup) == 0 || len(sup) >= n/2 {
+			t.Fatalf("row %d: certified support %d of %d coordinates; want a nonempty strict restriction", row, len(sup), n)
+		}
+
+		gc, err := certified.VJPCtx(ctx, x, ybars.Row(row))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gd, err := dense.VJPCtx(ctx, x, ybars.Row(row))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range gc {
+			if gc[j] != gd[j] {
+				t.Fatalf("row %d grad[%d]: certified %v != full %v", row, j, gc[j], gd[j])
+			}
+		}
+	}
+	bc, err := certified.BatchVJPCtx(ctx, xs, ybars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd, err := dense.BatchVJPCtx(ctx, xs, ybars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range bc.Data {
+		if bc.Data[i] != bd.Data[i] {
+			t.Fatalf("batch grad[%d]: certified %v != full %v", i, bc.Data[i], bd.Data[i])
+		}
+	}
+}
+
 func attackTargetFor(m *Model, p *core.Pipeline) *core.AttackTarget {
 	return &core.AttackTarget{
 		Pipeline:  p,
@@ -80,59 +157,71 @@ func attackTargetFor(m *Model, p *core.Pipeline) *core.AttackTarget {
 	}
 }
 
-// TestOpaqueSearchTrajectoryEquivalence is the ISSUE acceptance check: a
-// fixed-seed gradient search driven by sparse probes takes exactly the same
-// trajectory — identical accepted steps, best point, and eval counts — as
-// one driven by dense full-vector probing.
+// TestOpaqueSearchTrajectoryEquivalence pins the sparse FD path (certified
+// support on the fused stage) to the dense full-vector reference: a
+// fixed-seed gradient search takes exactly the same trajectory — identical
+// accepted steps, best point, and eval counts — on both engines. The GÉANT
+// leg runs the CI-gate budget (iters 50, restarts 1, eval_every 50).
 func TestOpaqueSearchTrajectoryEquivalence(t *testing.T) {
-	for _, engine := range []core.SearchEngine{core.EngineScalar, core.EngineBatched} {
-		m := abileneModel(Curr, []int{16})
-		cfg := core.DefaultGradientConfig()
-		cfg.Iters = 30
-		cfg.Restarts = 2
-		cfg.EvalEvery = 5
-		cfg.Seed = 11
-		cfg.Engine = engine
+	legs := []struct {
+		name                             string
+		model                            func() *Model
+		iters, restarts, evalEvery, seed int
+	}{
+		{"abilene", func() *Model { return abileneModel(Curr, []int{16}) }, 30, 2, 5, 11},
+		{"geant-gate", geantModel, 50, 1, 50, 1},
+	}
+	for _, leg := range legs {
+		m := leg.model()
+		for _, engine := range []core.SearchEngine{core.EngineScalar, core.EngineBatched} {
+			cfg := core.DefaultGradientConfig()
+			cfg.Iters = leg.iters
+			cfg.Restarts = leg.restarts
+			cfg.EvalEvery = leg.evalEvery
+			cfg.Seed = uint64(leg.seed)
+			cfg.Engine = engine
+			name := leg.name + "/" + engine.String()
 
-		sparseTarget := attackTargetFor(m, m.OpaqueRoutingPipeline().Grayboxed(1e-4))
-		denseTarget := attackTargetFor(m, m.OpaqueRoutingPipelineDense().Grayboxed(1e-4))
+			sparseTarget := attackTargetFor(m, m.OpaqueRoutingPipeline().Grayboxed(1e-4))
+			denseTarget := attackTargetFor(m, m.OpaqueRoutingPipelineDense().Grayboxed(1e-4))
 
-		rs, err := core.GradientSearch(sparseTarget, cfg)
-		if err != nil {
-			t.Fatalf("%v sparse search: %v", engine, err)
-		}
-		rd, err := core.GradientSearch(denseTarget, cfg)
-		if err != nil {
-			t.Fatalf("%v dense search: %v", engine, err)
-		}
-
-		if rs.BestRatio != rd.BestRatio {
-			t.Fatalf("%v: BestRatio %v != %v", engine, rs.BestRatio, rd.BestRatio)
-		}
-		if rs.BestSysMLU != rd.BestSysMLU || rs.BestOptMLU != rd.BestOptMLU {
-			t.Fatalf("%v: best MLU decomposition diverged", engine)
-		}
-		if len(rs.BestX) != len(rd.BestX) {
-			t.Fatalf("%v: BestX lengths differ", engine)
-		}
-		for i := range rs.BestX {
-			if rs.BestX[i] != rd.BestX[i] {
-				t.Fatalf("%v: BestX[%d] %v != %v", engine, i, rs.BestX[i], rd.BestX[i])
+			rs, err := core.GradientSearch(sparseTarget, cfg)
+			if err != nil {
+				t.Fatalf("%s sparse search: %v", name, err)
 			}
-		}
-		if rs.Evals != rd.Evals || rs.GradEvals != rd.GradEvals || rs.LPEvals != rd.LPEvals {
-			t.Fatalf("%v: eval counts diverged: sparse (%d,%d,%d) dense (%d,%d,%d)", engine,
-				rs.Evals, rs.GradEvals, rs.LPEvals, rd.Evals, rd.GradEvals, rd.LPEvals)
-		}
-		// Identical accepted steps: every improvement lands on the same
-		// iteration with the same ratio.
-		if len(rs.Trace) != len(rd.Trace) {
-			t.Fatalf("%v: trace lengths differ: %d != %d", engine, len(rs.Trace), len(rd.Trace))
-		}
-		for i := range rs.Trace {
-			if rs.Trace[i].Iter != rd.Trace[i].Iter || rs.Trace[i].Ratio != rd.Trace[i].Ratio {
-				t.Fatalf("%v: trace[%d] (%d, %v) != (%d, %v)", engine, i,
-					rs.Trace[i].Iter, rs.Trace[i].Ratio, rd.Trace[i].Iter, rd.Trace[i].Ratio)
+			rd, err := core.GradientSearch(denseTarget, cfg)
+			if err != nil {
+				t.Fatalf("%s dense search: %v", name, err)
+			}
+
+			if rs.BestRatio != rd.BestRatio {
+				t.Fatalf("%s: BestRatio %v != %v", name, rs.BestRatio, rd.BestRatio)
+			}
+			if rs.BestSysMLU != rd.BestSysMLU || rs.BestOptMLU != rd.BestOptMLU {
+				t.Fatalf("%s: best MLU decomposition diverged", name)
+			}
+			if len(rs.BestX) != len(rd.BestX) {
+				t.Fatalf("%s: BestX lengths differ", name)
+			}
+			for i := range rs.BestX {
+				if rs.BestX[i] != rd.BestX[i] {
+					t.Fatalf("%s: BestX[%d] %v != %v", name, i, rs.BestX[i], rd.BestX[i])
+				}
+			}
+			if rs.Evals != rd.Evals || rs.GradEvals != rd.GradEvals || rs.LPEvals != rd.LPEvals {
+				t.Fatalf("%s: eval counts diverged: sparse (%d,%d,%d) dense (%d,%d,%d)", name,
+					rs.Evals, rs.GradEvals, rs.LPEvals, rd.Evals, rd.GradEvals, rd.LPEvals)
+			}
+			// Identical accepted steps: every improvement lands on the same
+			// iteration with the same ratio.
+			if len(rs.Trace) != len(rd.Trace) {
+				t.Fatalf("%s: trace lengths differ: %d != %d", name, len(rs.Trace), len(rd.Trace))
+			}
+			for i := range rs.Trace {
+				if rs.Trace[i].Iter != rd.Trace[i].Iter || rs.Trace[i].Ratio != rd.Trace[i].Ratio {
+					t.Fatalf("%s: trace[%d] (%d, %v) != (%d, %v)", name, i,
+						rs.Trace[i].Iter, rs.Trace[i].Ratio, rd.Trace[i].Iter, rd.Trace[i].Ratio)
+				}
 			}
 		}
 	}

@@ -13,10 +13,13 @@ import (
 // typed requests over capacitated hosts minimizing peak utilization) at a
 // size whose tree runs a few hundred nodes — the analyzer's RatioOverride
 // workload the warm engine was built for.
-func benchPackingMILP() *Problem {
+func benchPackingMILP() *Problem { return packingMILP([]int{6, 5, 3, 2, 7}) }
+
+// packingMILP is the packing MILP for the given per-type request counts;
+// every count vector of length 5 gives the same LP shape.
+func packingMILP(counts []int) *Problem {
 	dem := [][]float64{{1, 2}, {2, 1}, {4, 4}, {8, 2}, {1, 1}}
 	caps := [][]float64{{16, 16}, {32, 24}, {24, 32}}
-	counts := []int{6, 5, 3, 2, 7}
 	T, H, R := len(counts), len(caps), 2
 	p := NewProblem()
 	u := p.AddVariable("u", 0, math.Inf(1))

@@ -93,7 +93,10 @@ func (p *Problem) solveColdClone(ctx context.Context, opts Options) *Solution {
 		for v, b := range node.bounds {
 			relax.SetVarBounds(v, b[0], b[1])
 		}
-		s := relax.Solve()
+		// A fresh solver per node: a pooled one would warm-start from
+		// whatever basis it last held, so the oracle's node count would
+		// depend on unrelated earlier solves.
+		s := lp.NewSolver().Solve(relax)
 		switch s.Status {
 		case lp.StatusInfeasible:
 			continue

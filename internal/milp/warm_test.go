@@ -281,3 +281,22 @@ func TestConcurrentSolvesSharePools(t *testing.T) {
 		}
 	}
 }
+
+// TestColdCloneOracleHistoryFree pins the oracle's independence from solver
+// history: solving the packing MILP, then an unrelated packing MILP of the
+// same shape, then the first one again must explore exactly the same tree,
+// so node counts compared against the oracle mean something. The packing
+// relaxations are degenerate, so a warm-started node LP can land on a
+// different optimal vertex and branch differently.
+func TestColdCloneOracleHistoryFree(t *testing.T) {
+	ctx := context.Background()
+	p := benchPackingMILP()
+	first := p.solveColdClone(ctx, Options{})
+	packingMILP([]int{3, 7, 2, 4, 5}).solveColdClone(ctx, Options{})
+	again := p.solveColdClone(ctx, Options{})
+	if first.Nodes != again.Nodes || first.Status != again.Status ||
+		math.Float64bits(first.Objective) != math.Float64bits(again.Objective) {
+		t.Fatalf("oracle solve changed after an unrelated solve: %v/%d nodes/%v, then %v/%d nodes/%v",
+			first.Status, first.Nodes, first.Objective, again.Status, again.Nodes, again.Objective)
+	}
+}

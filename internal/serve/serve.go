@@ -98,6 +98,18 @@ func (s JobState) terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled
 }
 
+// maxTerminalJobs is how many terminal jobs the daemon keeps for GET and
+// stream replay. A terminal job holds its whole result (adversarial input,
+// per-restart outcomes, a telemetry snapshot of the shared registry), so an
+// unbounded history grows the heap with every job. Older terminal jobs are
+// evicted in the order they finished; queued and running jobs never are.
+const maxTerminalJobs = 32
+
+// maxJobBody caps a POST /jobs request body. It admits an inline Geant
+// checkpoint (about 1 MB, 1.34 MB as base64) many times over while keeping
+// one request from exhausting the daemon's memory.
+const maxJobBody = 32 << 20
+
 // Event is one line of a job's NDJSON stream. Types: "queued", "running",
 // "improved" (a new global best, streamed as it happens), "done", "failed",
 // "cancelled".
@@ -192,6 +204,7 @@ type Server struct {
 	queue  []*Job
 	jobs   map[string]*Job
 	order  []*Job
+	ended  []*Job // retained terminal jobs, in the order they finished
 	nextID int
 	closed bool
 	caches map[string]*core.EvalCache
@@ -333,14 +346,15 @@ func validBudget(b Budget) error {
 	return nil
 }
 
-// Job returns a job by ID, nil when unknown.
+// Job returns a job by ID, nil when unknown or evicted from the history.
 func (s *Server) Job(id string) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs[id]
 }
 
-// Jobs returns all jobs in submission order.
+// Jobs returns the queued, running and retained terminal jobs in
+// submission order.
 func (s *Server) Jobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -390,14 +404,16 @@ func (s *Server) runner() {
 // down (any jobs still queued at that point are cancelled, not run).
 func (s *Server) nextJob() *Job {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for {
 		if s.closed {
-			for _, j := range s.queue {
-				j.cancelQueued()
-			}
+			dropped := s.queue
 			s.queue = nil
 			s.queuedG.Set(0)
+			// Cancelling retains the job in the history, which takes s.mu.
+			s.mu.Unlock()
+			for _, j := range dropped {
+				j.cancelQueued()
+			}
 			return nil
 		}
 		for len(s.queue) > 0 {
@@ -405,6 +421,7 @@ func (s *Server) nextJob() *Job {
 			s.queue = s.queue[1:]
 			s.queuedG.Set(float64(len(s.queue)))
 			if j.State() == JobQueued {
+				s.mu.Unlock()
 				return j
 			}
 		}
@@ -545,26 +562,25 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 
-	j.mu.Lock()
-	j.state = JobDone
-	j.finished = time.Now()
-	j.result = res
-	j.bestRatio, j.bestFound = res.BestRatio, res.Found
-	elapsed := j.finished.Sub(j.started)
-	j.mu.Unlock()
-	ev := Event{
-		Type: "done", Job: j.ID, Label: j.Spec.Label,
-		Found: res.Found, BestRatio: res.BestRatio,
-		ElapsedMS: elapsed.Milliseconds(),
-	}
-	if res.StopReason != core.StopNone {
-		ev.StopReason = res.StopReason.String()
-	}
-	if t := j.Spec.Threshold; t > 0 {
-		pass := res.BestRatio <= t
-		ev.Threshold, ev.Pass = t, &pass
-	}
-	j.emit(ev)
+	var elapsed time.Duration
+	j.finish(JobRunning, JobDone, func(now time.Time) Event {
+		j.result = res
+		j.bestRatio, j.bestFound = res.BestRatio, res.Found
+		elapsed = now.Sub(j.started)
+		ev := Event{
+			Type: "done", Job: j.ID, Label: j.Spec.Label,
+			Found: res.Found, BestRatio: res.BestRatio,
+			ElapsedMS: elapsed.Milliseconds(),
+		}
+		if res.StopReason != core.StopNone {
+			ev.StopReason = res.StopReason.String()
+		}
+		if t := j.Spec.Threshold; t > 0 {
+			pass := res.BestRatio <= t
+			ev.Threshold, ev.Pass = t, &pass
+		}
+		return ev
+	})
 	s.completed.Inc()
 	s.jobElapsed.Observe(float64(elapsed.Milliseconds()))
 	s.logf("job %s done: ratio %.3f (%s)", j.ID, res.BestRatio, res.StopReason)
@@ -572,12 +588,10 @@ func (s *Server) runJob(j *Job) {
 }
 
 func (s *Server) failJob(j *Job, err error) {
-	j.mu.Lock()
-	j.state = JobFailed
-	j.finished = time.Now()
-	j.errMsg = err.Error()
-	j.mu.Unlock()
-	j.emit(Event{Type: "failed", Job: j.ID, Label: j.Spec.Label, Error: err.Error()})
+	j.finish(JobRunning, JobFailed, func(time.Time) Event {
+		j.errMsg = err.Error()
+		return Event{Type: "failed", Job: j.ID, Label: j.Spec.Label, Error: err.Error()}
+	})
 	s.failed.Inc()
 	s.logf("job %s failed: %v", j.ID, err)
 	s.dumpMetrics(j.ID)
@@ -640,16 +654,56 @@ func (j *Job) Cancel() bool {
 
 // cancelQueued moves a still-queued job to its terminal cancelled state.
 func (j *Job) cancelQueued() {
+	if j.finish(JobQueued, JobCancelled, func(time.Time) Event {
+		return Event{Type: "cancelled", Job: j.ID, Label: j.Spec.Label}
+	}) {
+		j.s.cancelled.Inc()
+	}
+}
+
+// finish is the only way a job becomes terminal. Under one hold of j.mu it
+// moves the job from state from to the terminal state to, stamps its finish
+// time, runs outcome (which records the job's result fields and returns the
+// terminal event) and appends that event. A streamer that observes the
+// terminal state has therefore always been handed the terminal event too.
+// The job then enters the retained history (see maxTerminalJobs). Returns
+// false, changing nothing, when the job is no longer in state from.
+func (j *Job) finish(from, to JobState, outcome func(now time.Time) Event) bool {
 	j.mu.Lock()
-	if j.state != JobQueued {
+	if j.state != from {
 		j.mu.Unlock()
+		return false
+	}
+	now := time.Now()
+	j.state = to
+	j.finished = now
+	j.events = append(j.events, outcome(now))
+	j.mu.Unlock()
+	j.cond.Broadcast()
+	j.s.retain(j)
+	return true
+}
+
+// retain adds a just-finished job to the history and evicts the oldest
+// finished jobs beyond maxTerminalJobs from the job index and listing, so
+// their IDs answer 404 from then on. Only finished jobs are ever evicted,
+// and a job stays GET-able until maxTerminalJobs later jobs have finished.
+func (s *Server) retain(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ended = append(s.ended, j)
+	if len(s.ended) <= maxTerminalJobs {
 		return
 	}
-	j.state = JobCancelled
-	j.finished = time.Now()
-	j.mu.Unlock()
-	j.emit(Event{Type: "cancelled", Job: j.ID, Label: j.Spec.Label})
-	j.s.cancelled.Inc()
+	old := s.ended[0]
+	s.ended = append(s.ended[:0], s.ended[1:]...)
+	delete(s.jobs, old.ID)
+	for i, o := range s.order {
+		if o == old {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
+		}
+	}
 }
 
 // emit appends an event and wakes streamers.
@@ -764,14 +818,19 @@ func BuildFromCheckpoint(spec *JobSpec) (*core.AttackTarget, string, error) {
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST /jobs              submit a JobSpec, returns the JobView (202)
+//	POST /jobs              submit a JobSpec, returns the JobView (202);
+//	                        a body over 32 MiB is refused with 413
 //	GET  /jobs              list jobs
 //	GET  /jobs/{id}         job summary; full result JSON once done
 //	GET  /jobs/{id}/stream  NDJSON event stream (replays from the start,
-//	                        follows until the job is terminal)
+//	                        follows until the job is terminal; the last
+//	                        line is always the terminal event)
 //	POST /jobs/{id}/cancel  cancel a queued or running job
 //	GET  /metrics           obs registry, Prometheus text format
 //	GET  /healthz           liveness
+//
+// Only the newest 32 terminal jobs are kept (maxTerminalJobs): the job
+// routes answer 404 for an ID evicted from that history.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -797,7 +856,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody)).Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("job spec larger than %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad job spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}

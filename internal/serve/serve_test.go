@@ -3,9 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -447,5 +451,271 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestTerminalStateCarriesTerminalEvent pins terminal-event atomicity: while
+// many short synthetic jobs (one true evaluation, at the last iteration)
+// run and stream concurrently, a checker repeatedly asserts under j.mu that
+// a terminal state always comes with a terminal last event, and every
+// stream must end on its job's terminal event. A state set before its event
+// is appended lets a streamer see "terminal, nothing new" and hang up on
+// the last "improved" line.
+func TestTerminalStateCarriesTerminalEvent(t *testing.T) {
+	fleet := newSyntheticFleet()
+	s, c := testServer(t, fleet, Config{JobConcurrency: 4})
+	ctx := context.Background()
+
+	stop := make(chan struct{})
+	checked := make(chan struct{})
+	go func() {
+		defer close(checked)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, j := range s.Jobs() {
+				j.mu.Lock()
+				if j.state.terminal() {
+					if n := len(j.events); n == 0 || !JobState(j.events[n-1].Type).terminal() {
+						t.Errorf("job %s is %s but its events end %+v", j.ID, j.state, j.events[max(0, n-1):])
+					}
+				}
+				j.mu.Unlock()
+			}
+		}
+	}()
+
+	// Rounds stay below maxTerminalJobs, so no job is evicted before its
+	// stream has replayed it.
+	const rounds, perRound = 6, 16
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < perRound; i++ {
+			view, err := c.Submit(ctx, JobSpec{
+				Label:  fmt.Sprintf("r%d-%d", round, i),
+				Budget: Budget{Iters: 4, Restarts: 1, EvalEvery: 4, Seed: uint64(round*perRound + i + 1), EvalCache: -1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				last, err := c.Stream(ctx, view.ID, nil)
+				if err != nil {
+					t.Errorf("job %s stream: %v", view.ID, err)
+					return
+				}
+				if last.Type != "done" {
+					t.Errorf("job %s stream ended on %q, want the terminal done event", view.ID, last.Type)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	close(stop)
+	<-checked
+}
+
+// TestJobHistoryRetention pins the bounded job history: with more jobs
+// submitted than maxTerminalJobs, only the newest maxTerminalJobs terminal
+// jobs remain, evicted IDs answer 404 on /jobs/{id} and /stream, a job is
+// GET-able right after its own terminal event, and queued and running jobs
+// survive any number of evictions.
+func TestJobHistoryRetention(t *testing.T) {
+	fleet := newSyntheticFleet()
+	release := make(chan struct{})
+	started := make(chan struct{}, 2) // one send per held job
+	hold := func(call int) {
+		if call == 1 {
+			started <- struct{}{}
+			<-release
+		}
+	}
+	fleet.hooks["running"] = hold
+	fleet.hooks["queued"] = hold
+	// Fillers run strictly one after another, each only once the client of
+	// the previous one has read its terminal event and fetched its view.
+	const fillers = maxTerminalJobs + 8
+	fetched := make([]chan struct{}, fillers)
+	for k := range fetched {
+		fetched[k] = make(chan struct{})
+		if k > 0 {
+			prev := fetched[k-1]
+			fleet.hooks[fmt.Sprintf("f%d", k)] = func(int) { <-prev }
+		}
+	}
+	s, c := testServer(t, fleet, Config{JobConcurrency: 2})
+	t.Cleanup(func() { close(release) }) // runs before the server shuts down
+	ctx := context.Background()
+	holdBudget := Budget{Iters: 10, Restarts: 1, EvalEvery: 1, Seed: 1, EvalCache: -1}
+	fillBudget := Budget{Iters: 2, Restarts: 1, EvalEvery: 2, Seed: 1, EvalCache: -1}
+
+	running, err := c.Submit(ctx, JobSpec{Label: "running", Budget: holdBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // one runner is now held; the other drains the fillers
+
+	ids := make([]string, fillers)
+	var wg sync.WaitGroup
+	for k := 0; k < fillers; k++ {
+		view, err := c.Submit(ctx, JobSpec{Label: fmt.Sprintf("f%d", k), Budget: fillBudget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[k] = view.ID
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(fetched[k])
+			last, err := c.Stream(ctx, view.ID, nil)
+			if err != nil || last.Type != "done" {
+				t.Errorf("filler %d: stream ended on %q (err %v)", k, last.Type, err)
+				return
+			}
+			if v, err := c.Get(ctx, view.ID); err != nil || v.State != JobDone {
+				t.Errorf("filler %d not GET-able right after its terminal event: %+v, %v", k, v, err)
+			}
+		}()
+	}
+	// Queued behind every filler: it waits while all of them finish.
+	queued, err := c.Submit(ctx, JobSpec{Label: "queued", Budget: holdBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	<-started // the queued job starts only after the last filler ended
+
+	terminal := 0
+	for _, j := range s.Jobs() {
+		if j.State().terminal() {
+			terminal++
+		}
+	}
+	if terminal != maxTerminalJobs {
+		t.Fatalf("%d terminal jobs retained, want %d", terminal, maxTerminalJobs)
+	}
+	for _, id := range []string{running.ID, queued.ID} {
+		if v, err := c.Get(ctx, id); err != nil || v.State != JobRunning {
+			t.Fatalf("held job %s lost or not running: %+v, %v", id, v, err)
+		}
+	}
+	for k, id := range ids {
+		want := http.StatusOK
+		if k < fillers-maxTerminalJobs { // finished before the newest 32
+			want = http.StatusNotFound
+		}
+		for _, path := range []string{"/jobs/" + id, "/jobs/" + id + "/stream"} {
+			resp, err := c.client().Get(c.url(path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Fatalf("filler %d %s: status %d, want %d", k, path, resp.StatusCode, want)
+			}
+		}
+	}
+}
+
+// TestSubmitBodyCap pins the POST /jobs body cap: an inline copy of the
+// checked-in Geant gate checkpoint is admitted, a body over maxJobBody is
+// refused with 413.
+func TestSubmitBodyCap(t *testing.T) {
+	fleet := newSyntheticFleet()
+	_, c := testServer(t, fleet, Config{Workers: 1, JobConcurrency: 1})
+	ckpt, err := os.ReadFile("../../examples/gate/geant-quick.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Gate(context.Background(), JobSpec{
+		Label: "inline-geant", Checkpoint: ckpt,
+		Budget: Budget{Iters: 2, Restarts: 1, EvalEvery: 2, Seed: 1},
+	}, nil); err != nil {
+		t.Fatalf("inline %d-byte checkpoint refused: %v", len(ckpt), err)
+	}
+
+	body := io.MultiReader(
+		strings.NewReader(`{"label":"`),
+		io.LimitReader(zeros{}, maxJobBody),
+		strings.NewReader(`"}`))
+	resp, err := c.client().Post(c.url("/jobs"), "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// zeros is an endless reader of '0' bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
+}
+
+// TestShutdownCancelsQueuedJobs pins shutdown with jobs still queued: the
+// runner that sees the server closed cancels them, each stream ends on its
+// "cancelled" event, and Shutdown returns.
+func TestShutdownCancelsQueuedJobs(t *testing.T) {
+	fleet := newSyntheticFleet()
+	release := make(chan struct{})
+	started := make(chan struct{})
+	fleet.hooks["running"] = func(call int) {
+		if call == 1 {
+			close(started)
+			<-release
+		}
+	}
+	s, c := testServer(t, fleet, Config{JobConcurrency: 1})
+	ctx := context.Background()
+	budget := Budget{Iters: 10, Restarts: 1, EvalEvery: 1, Seed: 1, EvalCache: -1}
+	if _, err := c.Submit(ctx, JobSpec{Label: "running", Budget: budget}); err != nil {
+		t.Fatal(err)
+	}
+	<-started // the only runner is held; the next jobs stay queued
+	var queued []string
+	for i := 0; i < 2; i++ {
+		v, err := c.Submit(ctx, JobSpec{Label: fmt.Sprintf("q%d", i), Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, v.ID)
+	}
+
+	shut := make(chan error, 1)
+	go func() {
+		sctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+		defer cancel()
+		shut <- s.Shutdown(sctx)
+	}()
+	for closed := false; !closed; {
+		s.mu.Lock()
+		closed = s.closed
+		s.mu.Unlock()
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-shut; err != nil {
+		t.Fatalf("shutdown with queued jobs: %v", err)
+	}
+	for _, id := range queued {
+		j := s.Job(id)
+		if j == nil {
+			t.Fatalf("queued job %s evicted", id)
+		}
+		evs, terminal := j.await(ctx, 0)
+		if !terminal || evs[len(evs)-1].Type != "cancelled" {
+			t.Fatalf("queued job %s ended %v with events %+v, want cancelled", id, j.State(), evs)
+		}
 	}
 }
