@@ -25,6 +25,13 @@ const evalCacheShards = 16
 // independent hash is stored as a signature to reject bucket collisions;
 // colliding signatures (~2⁻⁶⁴ per pair) would return a stale value, the
 // standard memo-cache trade.
+//
+// Each point is scored once: the first miss on a (key, signature) registers
+// an in-flight call, and concurrent misses on the same point wait for it and
+// take its result as a hit instead of calling the oracle again. A waiter
+// whose leader fails, panics or is cancelled scores the point itself under
+// its own context (jobs sharing one cache have different contexts); a
+// waiter whose own context ends stops waiting.
 type EvalCache struct {
 	quantum  float64
 	perShard int
@@ -100,8 +107,18 @@ func (c *EvalCache) publishLocked(add, drop *insertSub) {
 }
 
 type evalShard struct {
-	mu sync.Mutex
-	m  map[uint64]evalEntry
+	mu       sync.Mutex
+	m        map[uint64]evalEntry
+	inflight map[uint64]*evalCall
+}
+
+// evalCall is one in-flight oracle call. Its leader sets the result fields
+// (ok only on success) before closing done; waiters read them after done.
+type evalCall struct {
+	sig             uint64
+	done            chan struct{}
+	ok              bool
+	ratio, sys, opt float64
 }
 
 type evalEntry struct {
@@ -125,6 +142,7 @@ func NewEvalCache(capacity int, quantum float64) *EvalCache {
 	}
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint64]evalEntry)
+		c.shards[i].inflight = make(map[uint64]*evalCall)
 	}
 	return c
 }
@@ -148,7 +166,11 @@ func (s EvalCacheStats) Sub(o EvalCacheStats) EvalCacheStats {
 	}
 }
 
-// Stats returns the current counters. Safe to call concurrently.
+// Stats returns the current counters. Safe to call concurrently. A lookup
+// that waited for another caller's in-flight call of the same point counts
+// as a hit when it got that result, and as a miss when it had to score the
+// point itself; so Misses is the number of oracle calls made through the
+// cache.
 func (c *EvalCache) Stats() EvalCacheStats {
 	var n int64
 	for i := range c.shards {
@@ -214,17 +236,42 @@ func (c *EvalCache) keys(x []float64) (key, sig uint64, ok bool) {
 	return h1, h2, true
 }
 
-func (c *EvalCache) get(key, sig uint64) (ratio, sys, opt float64, ok bool) {
+// lookup returns the cached entry for (key, sig) (hit), or else the
+// in-flight call scoring that point. When there is none it registers a new
+// call and returns it with leader set: the caller must score the point and
+// then release the call with finish, also on a panic. A signature that
+// collides with another point's in-flight call gets neither: call is nil
+// and the caller scores the point without waiting.
+func (c *EvalCache) lookup(key, sig uint64) (e evalEntry, hit bool, call *evalCall, leader bool) {
 	sh := &c.shards[key%evalCacheShards]
 	sh.mu.Lock()
-	e, found := sh.m[key]
-	sh.mu.Unlock()
-	if found && e.sig == sig {
+	defer sh.mu.Unlock()
+	if e, found := sh.m[key]; found && e.sig == sig {
 		c.hits.Add(1)
-		return e.ratio, e.sys, e.opt, true
+		return e, true, nil, false
 	}
+	if call, found := sh.inflight[key]; found {
+		if call.sig == sig {
+			return evalEntry{}, false, call, false
+		}
+		c.misses.Add(1)
+		return evalEntry{}, false, nil, false
+	}
+	call = &evalCall{sig: sig, done: make(chan struct{})}
+	sh.inflight[key] = call
 	c.misses.Add(1)
-	return 0, 0, 0, false
+	return evalEntry{}, false, call, true
+}
+
+// finish unregisters a leader's call and wakes its waiters.
+func (c *EvalCache) finish(key uint64, call *evalCall) {
+	sh := &c.shards[key%evalCacheShards]
+	sh.mu.Lock()
+	if sh.inflight[key] == call {
+		delete(sh.inflight, key)
+	}
+	sh.mu.Unlock()
+	close(call.done)
 }
 
 func (c *EvalCache) put(x []float64, key, sig uint64, ratio, sys, opt float64) {
@@ -242,10 +289,11 @@ func (c *EvalCache) put(x []float64, key, sig uint64, ratio, sys, opt float64) {
 	sh.mu.Unlock()
 	// Fresh inserts are observed outside the lock: subscribers may be slow
 	// (surrogate bookkeeping) and must not serialize unrelated shard
-	// traffic. Racing duplicate misses insert once and observe once; a
-	// subscriber removed concurrently with an insert may see that one final
-	// event (the list is loaded before the fan-out), which observers
-	// tolerate.
+	// traffic. In-flight calls make each point's fresh insert happen once;
+	// a waiter that scores the point itself after its leader failed may
+	// insert it again, which overwrites and is not observed. A subscriber
+	// removed concurrently with an insert may see that one final event (the
+	// list is loaded before the fan-out), which observers tolerate.
 	if !exists {
 		if p := c.subs.Load(); p != nil {
 			for _, s := range *p {
@@ -279,12 +327,42 @@ func (a *AttackTarget) ratioCachedCtx(ctx context.Context, cache *EvalCache, x [
 		ratio, sys, opt, err = a.RatioCtx(ctx, x)
 		return ratio, sys, opt, false, err
 	}
-	if r, s, o, ok := cache.get(key, sig); ok {
-		return r, s, o, true, nil
+	e, hit, call, leader := cache.lookup(key, sig)
+	switch {
+	case hit:
+		return e.ratio, e.sys, e.opt, true, nil
+	case leader:
+		ratio, sys, opt, err = a.leadCall(ctx, cache, x, key, sig, call)
+		return ratio, sys, opt, false, err
+	case call != nil:
+		select {
+		case <-call.done:
+		case <-ctx.Done():
+			return 0, 0, 0, false, ctx.Err()
+		}
+		if call.ok {
+			cache.hits.Add(1)
+			return call.ratio, call.sys, call.opt, true, nil
+		}
+		// The leader failed, panicked or was cancelled: score the point
+		// under this caller's own context.
+		cache.misses.Add(1)
 	}
 	ratio, sys, opt, err = a.RatioCtx(ctx, x)
 	if err == nil {
 		cache.put(x, key, sig, ratio, sys, opt)
 	}
 	return ratio, sys, opt, false, err
+}
+
+// leadCall scores x for the in-flight call it leads, caches a success, and
+// releases the call's waiters on every return, a panic included.
+func (a *AttackTarget) leadCall(ctx context.Context, cache *EvalCache, x []float64, key, sig uint64, call *evalCall) (ratio, sys, opt float64, err error) {
+	defer cache.finish(key, call)
+	ratio, sys, opt, err = a.RatioCtx(ctx, x)
+	if err == nil {
+		cache.put(x, key, sig, ratio, sys, opt)
+		call.ratio, call.sys, call.opt, call.ok = ratio, sys, opt, true
+	}
+	return ratio, sys, opt, err
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // countingTarget builds an AttackTarget whose scoring is a cheap
@@ -329,5 +331,180 @@ func TestEvalCacheKeySaturation(t *testing.T) {
 	// The exact int64 boundary converts cleanly.
 	if _, _, ok := cache.keys([]float64{float64(math.MaxInt64) * 1e-9}); !ok {
 		t.Fatal("boundary magnitude must be keyable")
+	}
+}
+
+// blockingOracle is a RatioOverride whose calls are counted and block until
+// release is closed. The first call runs first(x), which may fail or panic;
+// later calls succeed.
+type blockingOracle struct {
+	calls   atomic.Int64
+	entered chan struct{} // closed when the first call starts
+	release chan struct{}
+	first   func(x []float64) (float64, float64, float64, error)
+}
+
+func newBlockingOracle(first func(x []float64) (float64, float64, float64, error)) *blockingOracle {
+	return &blockingOracle{entered: make(chan struct{}), release: make(chan struct{}), first: first}
+}
+
+func (o *blockingOracle) target() *AttackTarget {
+	return &AttackTarget{
+		InputDim: 2, DemandLen: 2, MaxDemand: 1,
+		RatioOverride: func(x []float64) (float64, float64, float64, error) {
+			n := o.calls.Add(1)
+			if n == 1 {
+				close(o.entered)
+			}
+			<-o.release
+			if n == 1 && o.first != nil {
+				return o.first(x)
+			}
+			return x[0] + x[1], x[0], x[1], nil
+		},
+	}
+}
+
+// waitCallers waits until every caller has announced itself, then gives
+// them a grace period to reach the cache before the oracle is released.
+// The assertions below hold for any interleaving; the grace period only
+// makes the callers overlap the in-flight call, which is the case they
+// cover (without in-flight calls, each overlapping caller would score the
+// point itself).
+func waitCallers(t *testing.T, ready *sync.WaitGroup) {
+	t.Helper()
+	ready.Wait()
+	time.Sleep(20 * time.Millisecond)
+}
+
+// TestEvalCacheScoresConcurrentMissesOnce releases N goroutines together
+// on one point: exactly one oracle call happens and every caller gets its
+// result, the rest as hits.
+func TestEvalCacheScoresConcurrentMissesOnce(t *testing.T) {
+	const n = 8
+	o := newBlockingOracle(nil)
+	target := o.target()
+	cache := NewEvalCache(64, 1e-9)
+	start := make(chan struct{})
+	var ready, done sync.WaitGroup
+	var cachedN atomic.Int64
+	for g := 0; g < n; g++ {
+		ready.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			<-start
+			ready.Done()
+			r, _, _, cached, err := target.ratioCachedCtx(context.Background(), cache, []float64{1, 2})
+			if err != nil || r != 3 {
+				t.Errorf("caller got ratio %v, err %v; want 3", r, err)
+			}
+			if cached {
+				cachedN.Add(1)
+			}
+		}()
+	}
+	close(start)
+	<-o.entered
+	waitCallers(t, &ready)
+	close(o.release)
+	done.Wait()
+	if c := o.calls.Load(); c != 1 {
+		t.Fatalf("oracle called %d times for one point, want 1", c)
+	}
+	st := cache.Stats()
+	if cachedN.Load() != n-1 || st.Hits != n-1 || st.Misses != 1 {
+		t.Fatalf("cached results %d, stats %+v; want %d hits and 1 miss", cachedN.Load(), st, n-1)
+	}
+}
+
+// TestEvalCacheFailedLeaderReleasesWaiters makes the in-flight call fail,
+// by an error and by a panic: no waiter hangs, each scores the point itself
+// and gets the right value, and the point ends up cached.
+func TestEvalCacheFailedLeaderReleasesWaiters(t *testing.T) {
+	for _, mode := range []string{"error", "panic"} {
+		t.Run(mode, func(t *testing.T) {
+			const n = 4
+			o := newBlockingOracle(func(x []float64) (float64, float64, float64, error) {
+				if mode == "panic" {
+					panic("leader oracle panics")
+				}
+				return 0, 0, 0, errors.New("leader oracle fails")
+			})
+			target := o.target()
+			cache := NewEvalCache(64, 1e-9)
+			x := []float64{1, 2}
+			leaderDone := make(chan struct{})
+			go func() {
+				defer close(leaderDone)
+				defer func() { _ = recover() }() // the search engines contain oracle panics the same way
+				if _, _, _, _, err := target.ratioCachedCtx(context.Background(), cache, x); err == nil {
+					t.Error("failing leader reported success")
+				}
+			}()
+			<-o.entered
+			var ready, done sync.WaitGroup
+			for g := 0; g < n; g++ {
+				ready.Add(1)
+				done.Add(1)
+				go func() {
+					defer done.Done()
+					ready.Done()
+					r, _, _, _, err := target.ratioCachedCtx(context.Background(), cache, x)
+					if err != nil || r != 3 {
+						t.Errorf("waiter got ratio %v, err %v; want 3", r, err)
+					}
+				}()
+			}
+			waitCallers(t, &ready)
+			close(o.release)
+			<-leaderDone
+			done.Wait()
+			if c := o.calls.Load(); c < 2 || c > n+1 {
+				t.Fatalf("oracle called %d times, want between 2 and %d", c, n+1)
+			}
+			k, sig, _ := cache.keys(x)
+			if _, hit, _, _ := cache.lookup(k, sig); !hit {
+				t.Fatal("a waiter's own score was not cached")
+			}
+		})
+	}
+}
+
+// TestEvalCacheCancelledWaiterReturns cancels a caller waiting on another
+// caller's in-flight call: it returns its context's error at once, while
+// the leader is still blocked in the oracle.
+func TestEvalCacheCancelledWaiterReturns(t *testing.T) {
+	o := newBlockingOracle(nil)
+	target := o.target()
+	cache := NewEvalCache(64, 1e-9)
+	x := []float64{1, 2}
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		if r, _, _, _, err := target.ratioCachedCtx(context.Background(), cache, x); err != nil || r != 3 {
+			t.Errorf("leader got ratio %v, err %v; want 3", r, err)
+		}
+	}()
+	<-o.entered
+	ctx, cancel := context.WithCancel(context.Background())
+	waiterDone := make(chan error, 1)
+	go func() {
+		_, _, _, _, err := target.ratioCachedCtx(ctx, cache, x)
+		waiterDone <- err
+	}()
+	cancel()
+	select {
+	case err := <-waiterDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled waiter still waiting on the in-flight call")
+	}
+	close(o.release)
+	<-leaderDone
+	if c := o.calls.Load(); c != 1 {
+		t.Fatalf("oracle called %d times, want 1", c)
 	}
 }

@@ -342,7 +342,7 @@ func TestEvalCacheOnInsertHook(t *testing.T) {
 		t.Fatalf("hook fired %d times after first insert", len(got))
 	}
 	// A hit must not re-fire the hook.
-	if _, _, _, ok := cache.get(k1, s1); !ok {
+	if _, hit, _, _ := cache.lookup(k1, s1); !hit {
 		t.Fatal("expected a hit")
 	}
 	// Overwriting the same key is not a fresh insert.

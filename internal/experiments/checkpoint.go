@@ -49,8 +49,22 @@ func SaveSetup(w io.Writer, s *Setup) error {
 
 // LoadSetup rebuilds a Setup from a checkpoint: topology, path set and
 // traffic regenerate deterministically from the recorded seed; training is
-// SKIPPED and the stored weights are loaded instead.
+// SKIPPED and the stored weights are loaded instead. It is LoadCheckpoint
+// plus the train/test traffic the evaluation commands read.
 func LoadSetup(r io.Reader) (*Setup, error) {
+	s, err := LoadCheckpoint(r)
+	if err != nil {
+		return nil, err
+	}
+	s.addTraffic()
+	return s, nil
+}
+
+// LoadCheckpoint rebuilds the model, path set and attack target from a
+// checkpoint, with the stored weights, and generates no traffic: the
+// returned Setup has nil TrainEx and TestEx. A search needs only the
+// target, so this is the load a daemon job pays.
+func LoadCheckpoint(r io.Reader) (*Setup, error) {
 	// The checkpoint is two concatenated gob streams (header, then weights),
 	// read by two decoders. Each decoder must consume exactly its own
 	// messages: hand both the same io.ByteReader, otherwise gob wraps r in a
@@ -73,11 +87,11 @@ func LoadSetup(r io.Reader) (*Setup, error) {
 		Hidden:      hdr.Hidden,
 		TrainLen:    hdr.TrainLen,
 		TestLen:     hdr.TestLen,
-		TrainEpochs: 0, // sentinel: skip training below
+		TrainEpochs: 0, // sentinel: the weights below replace training
 		TrainLR:     hdr.TrainLR,
 		Seed:        hdr.Seed,
 	}
-	s, err := prepareUntrained(opts)
+	s, err := prepareModel(opts)
 	if err != nil {
 		return nil, err
 	}

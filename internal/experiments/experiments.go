@@ -101,9 +101,11 @@ func buildTopology(name string) (*topology.Graph, error) {
 	}
 }
 
-// prepareUntrained builds the topology, path set, model and traffic, but
-// does NOT train — LoadSetup restores trained weights instead.
-func prepareUntrained(opts SetupOptions) (*Setup, error) {
+// prepareModel builds the topology, path set, untrained model and attack
+// target: everything a search needs. It generates no traffic (see
+// addTraffic) and does NOT train — LoadCheckpoint restores trained weights
+// instead.
+func prepareModel(opts SetupOptions) (*Setup, error) {
 	g, err := buildTopology(opts.Topology)
 	if err != nil {
 		return nil, err
@@ -122,16 +124,6 @@ func prepareUntrained(opts SetupOptions) (*Setup, error) {
 	cfg.Seed = opts.Seed
 	m := dote.New(ps, cfg)
 
-	r := rng.New(opts.Seed + 100)
-	gen := traffic.NewGravity(ps, 0.3, r)
-	var trainEx, testEx []traffic.Example
-	if opts.Variant == dote.Curr {
-		trainEx = traffic.CurrWindows(traffic.Sequence(gen, opts.TrainLen))
-		testEx = traffic.CurrWindows(traffic.Sequence(gen, opts.TestLen))
-	} else {
-		trainEx = traffic.Windows(traffic.Sequence(gen, opts.TrainLen), cfg.HistLen)
-		testEx = traffic.Windows(traffic.Sequence(gen, opts.TestLen+cfg.HistLen), cfg.HistLen)
-	}
 	demandStart := 0
 	if opts.Variant == dote.Hist {
 		demandStart = m.HistoryDim()
@@ -144,17 +136,35 @@ func prepareUntrained(opts SetupOptions) (*Setup, error) {
 		PS:          ps,
 		MaxDemand:   g.AvgLinkCapacity(),
 	}
-	return &Setup{Opts: opts, PS: ps, Model: m, TrainEx: trainEx, TestEx: testEx, Target: target}, nil
+	return &Setup{Opts: opts, PS: ps, Model: m, Target: target}, nil
+}
+
+// addTraffic generates the setup's gravity train and test sequences from
+// its own seed. The traffic stream has its own RNG, so it does not depend
+// on when it is generated relative to the model.
+func (s *Setup) addTraffic() {
+	opts := s.Opts
+	r := rng.New(opts.Seed + 100)
+	gen := traffic.NewGravity(s.PS, 0.3, r)
+	if opts.Variant == dote.Curr {
+		s.TrainEx = traffic.CurrWindows(traffic.Sequence(gen, opts.TrainLen))
+		s.TestEx = traffic.CurrWindows(traffic.Sequence(gen, opts.TestLen))
+	} else {
+		hist := s.Model.Cfg.HistLen
+		s.TrainEx = traffic.Windows(traffic.Sequence(gen, opts.TrainLen), hist)
+		s.TestEx = traffic.Windows(traffic.Sequence(gen, opts.TestLen+hist), hist)
+	}
 }
 
 // Prepare builds the topology and path set, generates gravity traffic,
 // trains the DOTE variant end to end, and wraps everything in an
 // AttackTarget whose box bound is the average link capacity (§5).
 func Prepare(opts SetupOptions) (*Setup, error) {
-	s, err := prepareUntrained(opts)
+	s, err := prepareModel(opts)
 	if err != nil {
 		return nil, err
 	}
+	s.addTraffic()
 	topts := dote.DefaultTrainOptions()
 	if opts.TrainEpochs > 0 {
 		topts.Epochs = opts.TrainEpochs

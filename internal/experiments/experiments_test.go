@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -458,5 +459,57 @@ func TestAblationEstimators(t *testing.T) {
 	// plain finite differences on the same budget.
 	if fd, sur := rows[1].TrueEvals, rows[4].TrueEvals; sur > fd {
 		t.Fatalf("verified surrogate spent %d true evals, FD spent %d", sur, fd)
+	}
+}
+
+// TestLoadSetupTrafficMatchesPrepare pins the traffic step of a checkpoint
+// load to the traffic Prepare generated for the same options, for both
+// variants, and shows that LoadCheckpoint (the daemon's load) builds the
+// same target without generating any traffic.
+func TestLoadSetupTrafficMatchesPrepare(t *testing.T) {
+	for _, v := range []dote.Variant{dote.Curr, dote.Hist} {
+		opts := QuickSetup(v)
+		opts.Hidden = []int{8}
+		opts.HistLen = 4
+		opts.TrainLen = 30
+		opts.TestLen = 10
+		opts.TrainEpochs = 1
+		s, err := Prepare(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := SaveSetup(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		ckpt := buf.Bytes()
+		s2, err := LoadSetup(bytes.NewReader(ckpt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.TrainEx) == 0 || len(s.TestEx) == 0 {
+			t.Fatalf("%v: Prepare generated no traffic", v)
+		}
+		if !reflect.DeepEqual(s2.TrainEx, s.TrainEx) || !reflect.DeepEqual(s2.TestEx, s.TestEx) {
+			t.Fatalf("%v: LoadSetup traffic differs from Prepare's", v)
+		}
+		s3, err := LoadCheckpoint(bytes.NewReader(ckpt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s3.TrainEx != nil || s3.TestEx != nil {
+			t.Fatalf("%v: LoadCheckpoint generated traffic", v)
+		}
+		if !reflect.DeepEqual(s3.PS.PairPaths, s.PS.PairPaths) || s3.Target.InputDim != s.Target.InputDim ||
+			s3.Target.DemandStart != s.Target.DemandStart || s3.Target.MaxDemand != s.Target.MaxDemand {
+			t.Fatalf("%v: LoadCheckpoint target differs from Prepare's", v)
+		}
+		x := make([]float64, s.Target.InputDim)
+		for i := range x {
+			x[i] = s.Target.MaxDemand * float64(i%7) / 7
+		}
+		if a, b := s.Target.Pipeline.EvalScalar(x), s3.Target.Pipeline.EvalScalar(x); a != b {
+			t.Fatalf("%v: LoadCheckpoint pipeline gives %v, Prepare's %v", v, b, a)
+		}
 	}
 }

@@ -1,6 +1,12 @@
 package paths
 
 import (
+	"container/heap"
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -218,4 +224,268 @@ func TestKShortestZeroAndSelf(t *testing.T) {
 	if ps := KShortest(g, 0, 1, 0); ps != nil {
 		t.Fatal("k=0 should yield nil")
 	}
+}
+
+// The map-based Dijkstra and Yen below are the implementation the workspace
+// version replaced. They are the reference oracle: the production path sets
+// must equal theirs bitwise, because split vectors and checkpoints index
+// these paths.
+
+// equal reports whether two paths traverse identical edge sequences.
+func (p Path) equal(q Path) bool { return slices.Equal(p.Edges, q.Edges) }
+
+type refPQ []pqItem
+
+func (h refPQ) Len() int            { return len(h) }
+func (h refPQ) Less(i, j int) bool  { return h[i].dist < h[j].dist }
+func (h refPQ) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refPQ) Push(x interface{}) { *h = append(*h, x.(pqItem)) }
+func (h *refPQ) Pop() interface{} {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	*h = old[:n-1]
+	return it
+}
+
+func refDijkstra(g *topology.Graph, src, dst int, bannedNodes map[int]bool, bannedEdges map[int]bool) (Path, bool) {
+	n := g.NumNodes()
+	dist := make([]float64, n)
+	prevEdge := make([]int, n)
+	done := make([]bool, n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		prevEdge[i] = -1
+	}
+	dist[src] = 0
+	h := &refPQ{{src, 0}}
+	for h.Len() > 0 {
+		it := heap.Pop(h).(pqItem)
+		u := it.node
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		if u == dst {
+			break
+		}
+		for _, eid := range g.Out(u) {
+			if bannedEdges != nil && bannedEdges[eid] {
+				continue
+			}
+			e := g.Edge(eid)
+			v := e.Dst
+			if done[v] || (bannedNodes != nil && bannedNodes[v]) {
+				continue
+			}
+			nd := dist[u] + e.Weight
+			if nd < dist[v] {
+				dist[v] = nd
+				prevEdge[v] = eid
+				heap.Push(h, pqItem{v, nd})
+			}
+		}
+	}
+	if math.IsInf(dist[dst], 1) {
+		return Path{}, false
+	}
+	var rev []int
+	for v := dst; v != src; {
+		eid := prevEdge[v]
+		rev = append(rev, eid)
+		v = g.Edge(eid).Src
+	}
+	edges := make([]int, len(rev))
+	for i := range rev {
+		edges[i] = rev[len(rev)-1-i]
+	}
+	return Path{Edges: edges, Weight: dist[dst]}, true
+}
+
+func refKShortest(g *topology.Graph, src, dst, k int) []Path {
+	if k <= 0 || src == dst {
+		return nil
+	}
+	first, ok := refDijkstra(g, src, dst, nil, nil)
+	if !ok {
+		return nil
+	}
+	result := []Path{first}
+	var candidates []Path
+
+	for len(result) < k {
+		prev := result[len(result)-1]
+		prevNodes := prev.Nodes(g)
+		for i := 0; i < len(prev.Edges); i++ {
+			spurNode := prevNodes[i]
+			rootEdges := prev.Edges[:i]
+			rootWeight := 0.0
+			for _, eid := range rootEdges {
+				rootWeight += g.Edge(eid).Weight
+			}
+			bannedEdges := make(map[int]bool)
+			for _, rp := range result {
+				if len(rp.Edges) > i && sharesPrefix(rp.Edges, rootEdges) {
+					bannedEdges[rp.Edges[i]] = true
+				}
+			}
+			bannedNodes := make(map[int]bool)
+			for _, n := range prevNodes[:i] {
+				bannedNodes[n] = true
+			}
+			spur, ok := refDijkstra(g, spurNode, dst, bannedNodes, bannedEdges)
+			if !ok {
+				continue
+			}
+			total := Path{
+				Edges:  append(append([]int{}, rootEdges...), spur.Edges...),
+				Weight: rootWeight + spur.Weight,
+			}
+			dup := false
+			for _, c := range candidates {
+				if c.equal(total) {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				candidates = append(candidates, total)
+			}
+		}
+		if len(candidates) == 0 {
+			break
+		}
+		sort.Slice(candidates, func(a, b int) bool {
+			if candidates[a].Weight != candidates[b].Weight {
+				return candidates[a].Weight < candidates[b].Weight
+			}
+			return lessEdges(candidates[a].Edges, candidates[b].Edges)
+		})
+		result = append(result, candidates[0])
+		candidates = candidates[1:]
+	}
+	return result
+}
+
+// unitGrid is an r×c grid with unit weights: every shortest path has many
+// equal-weight rivals, so ties decide almost every heap pop and candidate.
+func unitGrid(r, c int) *topology.Graph {
+	g := topology.New()
+	for i := 0; i < r*c; i++ {
+		g.AddNode(fmt.Sprintf("g%d", i))
+	}
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			if j+1 < c {
+				g.AddBiEdge(i*c+j, i*c+j+1, 1, 1)
+			}
+			if i+1 < r {
+				g.AddBiEdge(i*c+j, (i+1)*c+j, 1, 1)
+			}
+		}
+	}
+	return g
+}
+
+// weightedRandom is a random graph with distinct-ish edge weights, so paths
+// are ordered by weight rather than by tie-breaks.
+func weightedRandom(n, extra int, r *rng.RNG) *topology.Graph {
+	base := topology.Random(n, extra, 1, 10, r)
+	g := topology.New()
+	for i := 0; i < base.NumNodes(); i++ {
+		g.AddNode(base.NodeName(i))
+	}
+	for _, e := range base.Edges() {
+		g.AddEdge(e.Src, e.Dst, e.Capacity, 0.25+float64(r.Intn(12))/4)
+	}
+	return g
+}
+
+// TestPathSetMatchesReference pins NewPathSet (striped over GOMAXPROCS
+// workspaces) to the map-based reference bitwise: every pair's paths, edge
+// sequences, weights and order.
+func TestPathSetMatchesReference(t *testing.T) {
+	graphs := map[string]*topology.Graph{
+		"abilene":   topology.Abilene(),
+		"geant":     topology.Geant(),
+		"b4":        topology.B4(),
+		"unit-grid": unitGrid(4, 5),
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		graphs[fmt.Sprintf("waxman-%d", seed)] = topology.Waxman(12, 3, 1, 10, rng.New(seed))
+		graphs[fmt.Sprintf("prefattach-%d", seed)] = topology.PrefAttach(12, 3, 1, 10, rng.New(seed))
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		graphs[fmt.Sprintf("weighted-%d", seed)] = weightedRandom(10, 8, rng.New(seed))
+	}
+	ks := []int{1, 3, 4, 8}
+	if testing.Short() {
+		ks = []int{1, 4}
+	}
+	for name, g := range graphs {
+		for _, k := range ks {
+			ps := NewPathSet(g, k)
+			for i, p := range ps.Pairs {
+				want := refKShortest(g, p.Src, p.Dst, k)
+				if !reflect.DeepEqual(ps.PairPaths[i], want) {
+					t.Fatalf("%s K=%d pair %v: got %v, reference %v", name, k, p, ps.PairPaths[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestDijkstraMatchesReferenceWithBans checks the exported map-ban wrapper
+// against the reference on random ban sets.
+func TestDijkstraMatchesReferenceWithBans(t *testing.T) {
+	r := rng.New(5)
+	for _, g := range []*topology.Graph{topology.Geant(), unitGrid(3, 4)} {
+		for trial := 0; trial < 200; trial++ {
+			src, dst := r.Intn(g.NumNodes()), r.Intn(g.NumNodes())
+			nodes, edges := map[int]bool{}, map[int]bool{}
+			for i := 0; i < 3; i++ {
+				nodes[r.Intn(g.NumNodes())] = true
+				edges[r.Intn(g.NumEdges())] = r.Intn(2) == 0
+			}
+			got, gok := Dijkstra(g, src, dst, nodes, edges)
+			want, wok := refDijkstra(g, src, dst, nodes, edges)
+			if gok != wok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %d->%d: got %v %v, reference %v %v", trial, src, dst, got, gok, want, wok)
+			}
+		}
+	}
+}
+
+// FuzzKShortestMatchesReference builds a small weighted multigraph from the
+// input and checks KShortest against the reference for one pair and K.
+func FuzzKShortestMatchesReference(f *testing.F) {
+	f.Add([]byte{5, 0, 4, 3, 0, 1, 1, 1, 2, 1, 2, 4, 1, 0, 2, 2, 2, 3, 1, 3, 4, 1})
+	f.Add([]byte{3, 0, 2, 8, 0, 1, 1, 1, 2, 1, 0, 2, 2, 2, 0, 1})
+	f.Add([]byte{8, 1, 6, 4, 0, 1, 3, 1, 2, 3, 2, 6, 3, 1, 6, 9, 0, 6, 12, 5, 6, 2})
+	f.Add([]byte{2, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		n := 2 + int(data[0])%10
+		src, dst := int(data[1])%n, int(data[2])%n
+		k := 1 + int(data[3])%8
+		g := topology.New()
+		for i := 0; i < n; i++ {
+			g.AddNode(fmt.Sprintf("n%d", i))
+		}
+		for rest := data[4:]; len(rest) >= 3 && g.NumEdges() < 64; rest = rest[3:] {
+			a, b := int(rest[0])%n, int(rest[1])%n
+			if a == b {
+				continue
+			}
+			// Quarter-unit weights in [0.25, 4]: exact sums, plenty of ties.
+			g.AddEdge(a, b, 1, 0.25*float64(1+int(rest[2])%16))
+		}
+		got := KShortest(g, src, dst, k)
+		want := refKShortest(g, src, dst, k)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d->%d K=%d: got %v, reference %v", src, dst, k, got, want)
+		}
+	})
 }

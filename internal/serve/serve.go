@@ -771,7 +771,8 @@ func (j *Job) View(withResult bool) JobView {
 // --- default target builder ---
 
 // BuildFromCheckpoint is the default TargetBuilder: load the experiments
-// checkpoint (inline bytes or path), apply the scenario, return the target.
+// checkpoint (inline bytes or path) without the train/test traffic a search
+// never reads, apply the scenario, return the target.
 func BuildFromCheckpoint(spec *JobSpec) (*core.AttackTarget, string, error) {
 	var src io.Reader
 	switch {
@@ -787,7 +788,7 @@ func BuildFromCheckpoint(spec *JobSpec) (*core.AttackTarget, string, error) {
 	default:
 		return nil, "", errors.New("serve: job needs checkpoint or checkpoint_path")
 	}
-	st, err := experiments.LoadSetup(src)
+	st, err := experiments.LoadCheckpoint(src)
 	if err != nil {
 		return nil, "", err
 	}
