@@ -11,15 +11,12 @@ BENCHJSON_BASELINE ?=
 # `make bench-*` never overwrites a committed baseline.
 # bench-lp snapshot output and the committed baseline it is compared against.
 BENCHLP_OUT ?= BENCH_lp_local.json
-BENCHLP_BASELINE ?= BENCH_PR5.json
-# bench-surrogate snapshot output and its committed baseline.
-BENCHSUR_OUT ?= BENCH_surrogate_local.json
-BENCHSUR_BASELINE ?= BENCH_PR6.json
+BENCHLP_BASELINE ?= BENCH_PR6.json
 # bench-milp snapshot output and its committed baseline.
 BENCHMILP_OUT ?= BENCH_milp_local.json
-BENCHMILP_BASELINE ?= BENCH_PR7.json
+BENCHMILP_BASELINE ?= BENCH_PR10.json
 
-.PHONY: all build test vet race bench bench-json bench-lp bench-surrogate bench-milp
+.PHONY: all build test vet race bench bench-json bench-lp bench-milp
 
 all: vet build test
 
@@ -51,28 +48,16 @@ bench-json:
 
 # bench-lp archives the sparse revised-simplex benchmarks — revised vs the
 # dense test oracle on cold transport solves and on Abilene/GÉANT optimal-MLU
-# solves (cold and warm), dual-simplex RHS re-solves vs pristine cold solves,
-# and the 100-node Waxman acceptance point — then runs the -race leg over the
-# revised paths (concurrent pooled-solver borrow plus live stats scraping).
+# solves (cold and warm), and the 100-node Waxman acceptance point — then runs
+# the -race leg over the revised paths (concurrent pooled-solver borrow plus
+# live stats scraping).
 bench-lp:
 	{ $(GO) test -run xxx -benchtime $(BENCHTIME) -benchmem \
-		-bench 'BenchmarkColdSolve|BenchmarkResolveRHS|BenchmarkMLUEngines' ./internal/lp/ ; \
+		-bench 'BenchmarkColdSolve|BenchmarkMLUEngines' ./internal/lp/ ; \
 	  $(GO) test -run xxx -benchtime $(BENCHTIME) -benchmem \
 		-bench 'BenchmarkWaxman100' ./internal/te/ ; } \
 		| $(GO) run ./cmd/benchjson -out $(BENCHLP_OUT) $(if $(BENCHLP_BASELINE),-compare $(BENCHLP_BASELINE))
 	$(GO) test -race -run 'Revised' ./internal/lp/ ./internal/te/
-
-# bench-surrogate archives the surrogate-guided search headline — the same
-# Geant-scale fixed-seed search through counted sparse-FD probing vs the
-# trust/verify surrogate, with "ratio" and "true-evals" metrics (the
-# true-evals-per-converged-search win) — then runs the -race leg over the
-# shared online learner and trust state.
-bench-surrogate:
-	$(GO) test -run xxx -benchtime 1x -timeout 45m \
-		-bench 'BenchmarkSurrogateSearch' . \
-		| $(GO) run ./cmd/benchjson -out $(BENCHSUR_OUT) $(if $(BENCHSUR_BASELINE),-compare $(BENCHSUR_BASELINE))
-	$(GO) test -race -count=1 -run 'SurrogateEstimator|OnlineSurrogateConcurrent' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestSurrogateFallbackContractBitwise' ./internal/dote/
 
 # bench-milp archives the warm-started branch-and-bound headline: packing
 # node throughput of the warm engine vs the cold-clone test oracle, the

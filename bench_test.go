@@ -574,70 +574,6 @@ func BenchmarkIncrementalFDGrad(b *testing.B) {
 	}
 }
 
-// BenchmarkSurrogateSearch is PR7's headline number: the same fixed-seed
-// Geant-scale attack search driven by (a) pure sparse-FD probing — counted
-// through a never-warm SurrogateEstimator, which the fallback-contract test
-// pins as bitwise identical to the Grayboxed pipeline — and (b) the
-// trust/verify surrogate. Each arm runs to Patience convergence and reports
-// the converged best ratio plus the true stage evaluations it spent
-// (surrogate.* counters). The acceptance bar is the surrogate arm reaching
-// the FD arm's best ratio (within 1e-6 rel; strictly better also counts)
-// on >= 5x fewer true evaluations.
-func BenchmarkSurrogateSearch(b *testing.B) {
-	m := incrementalBenchModel()
-	target := &core.AttackTarget{
-		Pipeline:  nil, // set per arm
-		InputDim:  m.InputDim(),
-		DemandLen: m.NumPairs(),
-		PS:        m.PS,
-		MaxDemand: m.PS.Graph.AvgLinkCapacity(),
-	}
-	searchCfg := func() core.GradientConfig {
-		cfg := core.DefaultGradientConfig()
-		cfg.Iters = 200
-		cfg.Restarts = 2
-		cfg.Seed = 19
-		return cfg
-	}
-
-	coldFD := core.DefaultSurrogateGradConfig(2)
-	coldFD.Surrogate.TrainSteps = 0
-	coldFD.Surrogate.Warmup = 1 << 62 // never warm: bitwise sparse-FD, counted
-
-	arms := []struct {
-		name string
-		sc   core.SurrogateGradConfig
-	}{
-		{"sparse-fd", coldFD},
-		{"surrogate", core.DefaultSurrogateGradConfig(2)},
-	}
-	for _, arm := range arms {
-		b.Run(arm.name, func(b *testing.B) {
-			var ratio float64
-			var evals int64
-			for i := 0; i < b.N; i++ {
-				p, est := m.SurrogateRoutingPipeline(arm.sc)
-				t := *target
-				t.Pipeline = p
-				cfg := searchCfg()
-				cfg.EvalCache = core.NewEvalCache(1<<14, 0)
-				res, err := core.GradientSearch(&t, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st := est.Stats()
-				ratio, evals = res.BestRatio, st.TrueEvals
-				if i == 0 {
-					b.Logf("%s: ratio %.6f, true evals %d (saved %d, surrogate VJPs %d, FD VJPs %d)",
-						arm.name, ratio, evals, st.EvalsSaved, st.SurrogateVJPs, st.FDVJPs)
-				}
-			}
-			b.ReportMetric(ratio, "ratio")
-			b.ReportMetric(float64(evals), "true-evals")
-		})
-	}
-}
-
 // BenchmarkEvalCacheMemo measures true-ratio scoring against the sharded
 // memo cache: "miss" scores b.N distinct demand vectors (cache misses plus
 // the LP solve), "hit" rescoring one resident point, "nocache" the

@@ -213,62 +213,6 @@ func parseWidths(s string) ([]int, error) {
 	return widths, nil
 }
 
-// surrogateFlags bundles the -surrogate* flags shared by attack, harden and
-// compare: once the online DNN surrogate earns trust the opaque routing+MLU
-// stage's probe sweep is restricted to the coordinates that matter — the
-// prober's certified support when it can certify one, the surrogate's
-// top-ranked coordinates otherwise — with full sparse-FD probing as warmup
-// and fallback. Flag defaults mirror core.DefaultSurrogateGradConfig.
-type surrogateFlags struct {
-	on     *bool
-	hidden *string
-	warmup *int
-	verify *int
-}
-
-func addSurrogateFlags(fs *flag.FlagSet) *surrogateFlags {
-	return &surrogateFlags{
-		on:     fs.Bool("surrogate", false, "restrict the opaque routing+MLU stage's probe sweep once the online DNN surrogate earns trust: only certified-support or top-ranked coordinates are probed (implies the gray-box pipeline; falls back to full sparse-FD probing whenever verification fails)"),
-		hidden: fs.String("surrogate-hidden", "128", "comma-separated hidden layer widths of the surrogate MLP"),
-		warmup: fs.Int("surrogate-warmup", 16, "true observations before the surrogate may start earning trust"),
-		verify: fs.Int("surrogate-verify", 12, "consecutive non-improving true evaluations that demote a trusted surrogate back to FD probing"),
-	}
-}
-
-// config materializes the flag values into a SurrogateGradConfig.
-func (sf *surrogateFlags) config(seed uint64, fdStep float64) (core.SurrogateGradConfig, error) {
-	cfg := core.DefaultSurrogateGradConfig(seed)
-	if fdStep > 0 {
-		cfg.FDStep = fdStep
-	}
-	cfg.Surrogate.Warmup = *sf.warmup
-	cfg.VerifyWindow = *sf.verify
-	var hidden []int
-	for _, part := range strings.Split(*sf.hidden, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		w, err := strconv.Atoi(part)
-		if err != nil || w < 1 {
-			return cfg, fmt.Errorf("-surrogate-hidden=%q: want comma-separated positive widths", *sf.hidden)
-		}
-		hidden = append(hidden, w)
-	}
-	if len(hidden) > 0 {
-		cfg.Surrogate.Hidden = hidden
-	}
-	return cfg, nil
-}
-
-// report prints the estimator's trust/savings counters after a run.
-func reportSurrogate(est *core.SurrogateEstimator) {
-	st := est.Stats()
-	fmt.Printf("surrogate: %d true evals, %d saved; vjps %d guided / %d full-fd; verify %d accept / %d reject; %d promotions, %d fallbacks; trusted=%v\n",
-		st.TrueEvals, st.EvalsSaved, st.SurrogateVJPs, st.FDVJPs,
-		st.VerifyAccepts, st.VerifyRejects, st.Promotions, st.Fallbacks, st.Trusted)
-}
-
 // searchCtx returns the context a gradient search runs under: Background
 // when no -timeout was given, a deadline-bearing child otherwise. The
 // deadline propagates all the way down to the LP solves, so an expiring
@@ -430,10 +374,8 @@ func cmdAttack(args []string) error {
 	opaque := c.fs.Bool("opaque", false, "attack the gray-box pipeline (fused routing+MLU stage, FD gradients) instead of the white-box chain-rule one")
 	fdStep := c.fs.Float64("fd-step", 1e-4, "finite-difference probe step for -opaque")
 	sparseRefresh := c.fs.Int("sparse-refresh", 0, "with -opaque: full-recompute interval of the incremental evaluators (0 = library default)")
-	evalCacheSize := c.fs.Int("eval-cache", 0, "memoize true-ratio scoring in a cache of this many entries (0 = off; -surrogate defaults it on)")
+	evalCacheSize := c.fs.Int("eval-cache", 0, "memoize true-ratio scoring in a cache of this many entries (0 = off)")
 	evalCacheQuant := c.fs.Float64("eval-cache-quant", 0, "demand quantization step for -eval-cache keys (0 = 1e-9)")
-	sf := addSurrogateFlags(c.fs)
-	surrogateDump := c.fs.String("surrogate-dump", "", "with -surrogate: write the trained surrogate checkpoint to this file (pairs with the -json result)")
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
@@ -446,21 +388,7 @@ func cmdAttack(args []string) error {
 	if err != nil {
 		return err
 	}
-	var est *core.SurrogateEstimator
-	switch {
-	case *sf.on:
-		scfg, err := sf.config(*c.seed+900, *fdStep)
-		if err != nil {
-			return err
-		}
-		s.Model.SparseRefresh = *sparseRefresh
-		s.Target.Pipeline, est = s.Model.SurrogateRoutingPipeline(scfg)
-		if *evalCacheSize == 0 {
-			// The step-level trust signal rides the cache's observation
-			// hook, so surrogate runs default the memo cache on.
-			*evalCacheSize = 1 << 14
-		}
-	case *opaque:
+	if *opaque {
 		s.Model.SparseRefresh = *sparseRefresh
 		s.Target.Pipeline = s.Model.OpaqueRoutingPipeline().Grayboxed(*fdStep)
 	}
@@ -482,23 +410,6 @@ func cmdAttack(args []string) error {
 	}
 	fmt.Println(res)
 	reportStop(res)
-	if est != nil {
-		reportSurrogate(est)
-		if *surrogateDump != "" {
-			f, err := os.Create(*surrogateDump)
-			if err != nil {
-				return err
-			}
-			if err := est.SaveCheckpoint(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("surrogate checkpoint written to %s\n", *surrogateDump)
-		}
-	}
 	if res.Found {
 		d := s.Target.Demand(res.BestX)
 		nz := 0
@@ -533,7 +444,6 @@ func cmdCompare(args []string) error {
 	c := newCommon("compare")
 	randomEvals := c.fs.Int("random-evals", 400, "random-search evaluation budget")
 	wbTime := c.fs.Duration("whitebox-time", 60*time.Second, "white-box time budget")
-	sf := addSurrogateFlags(c.fs)
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
@@ -555,21 +465,9 @@ func cmdCompare(args []string) error {
 		budgets.Gradient.Iters = 150
 		budgets.Gradient.Restarts = 2
 	}
-	var est *core.SurrogateEstimator
-	if *sf.on {
-		scfg, err := sf.config(*c.seed+900, 0)
-		if err != nil {
-			return err
-		}
-		s.Target.Pipeline, est = s.Model.SurrogateRoutingPipeline(scfg)
-		budgets.Gradient.EvalCache = core.NewEvalCache(1<<14, 0)
-	}
 	rows, err := experiments.RunComparison(s, budgets)
 	if err != nil {
 		return err
-	}
-	if est != nil {
-		reportSurrogate(est)
 	}
 	fmt.Printf("%-28s %-18s %-12s %s\n", "Method", "Discovered ratio", "Runtime", "Notes")
 	for _, r := range rows {
@@ -658,7 +556,6 @@ func cmdCorpus(args []string) error {
 func cmdHarden(args []string) error {
 	c := newCommon("harden")
 	advCount := c.fs.Int("adv", 3, "number of adversarial inputs to mine")
-	sf := addSurrogateFlags(c.fs)
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
@@ -671,19 +568,6 @@ func cmdHarden(args []string) error {
 	if err != nil {
 		return err
 	}
-	// With -surrogate the mining searches share one estimator (and one memo
-	// cache): the surrogate keeps what it learned about the routing stage
-	// across runs, so later mining rounds start warm.
-	var est *core.SurrogateEstimator
-	var cache *core.EvalCache
-	if *sf.on {
-		scfg, err := sf.config(*c.seed+900, 0)
-		if err != nil {
-			return err
-		}
-		s.Target.Pipeline, est = s.Model.SurrogateRoutingPipeline(scfg)
-		cache = core.NewEvalCache(1<<14, 0)
-	}
 	// Mine adversarial inputs with independent seeds.
 	var inputs [][]float64
 	for i := 0; i < *advCount; i++ {
@@ -694,7 +578,6 @@ func cmdHarden(args []string) error {
 		}
 		cfg.Seed = *c.seed + uint64(1000+i)
 		cfg.Obs = c.registry()
-		cfg.EvalCache = cache
 		ctx, cancel := c.searchCtx()
 		res, err := core.GradientSearchContext(ctx, s.Target, cfg)
 		cancel()
@@ -707,9 +590,6 @@ func cmdHarden(args []string) error {
 		if res.StopReason == core.StopDeadline {
 			fmt.Fprintf(os.Stderr, "# adversarial mining run %d hit -timeout; using its best-so-far\n", i)
 		}
-	}
-	if est != nil {
-		reportSurrogate(est)
 	}
 	if len(inputs) == 0 {
 		// Fall back to random search so hardening has something to chew on.

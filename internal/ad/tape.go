@@ -153,9 +153,6 @@ func (t *Tape) ConstMat(data []float64, rows, cols int) Value {
 	return Value{t, n}
 }
 
-// Scalar records a non-differentiable scalar.
-func (t *Tape) Scalar(v float64) Value { return t.Const([]float64{v}) }
-
 // Data returns the forward value (shared storage — treat as read-only, and
 // invalid after Tape.Reset).
 func (v Value) Data() []float64 { return v.n.data }

@@ -38,72 +38,6 @@ type EvalCache struct {
 	shards   [evalCacheShards]evalShard
 
 	hits, misses, evictions, bypasses atomic.Int64
-
-	// subs is the copy-on-write subscriber list observing fresh inserts.
-	// Readers load it atomically on the insert path; AddOnInsert/remove
-	// mutate it under subMu and publish a fresh slice, so the hot path never
-	// takes a lock.
-	subs  atomic.Pointer[[]*insertSub]
-	subMu sync.Mutex
-}
-
-// insertSub is one registered on-insert observer. The struct identity is the
-// removal token: remove compares pointers, so two subscriptions with the
-// same function value stay independent.
-type insertSub struct {
-	fn func(x []float64, ratio, sys, opt float64)
-}
-
-// AddOnInsert subscribes fn to every fresh insert — i.e. exactly once per
-// distinct true evaluation, at the moment its result enters the cache. Hits
-// never re-fire subscribers, and errors are never cached, so they are never
-// observed. Subscribers run outside the shard lock on the inserting
-// goroutine and must be safe for concurrent use.
-//
-// The returned remove function unsubscribes fn (idempotent, safe after the
-// cache has other subscribers). Any number of subscribers may be live at
-// once: each concurrent search over a shared cache registers its own
-// TrueEvalObserver fan-out and removes exactly that one on the way out, so
-// one search finishing never detaches another's observers.
-func (c *EvalCache) AddOnInsert(fn func(x []float64, ratio, sys, opt float64)) (remove func()) {
-	if fn == nil {
-		return func() {}
-	}
-	sub := &insertSub{fn: fn}
-	c.subMu.Lock()
-	c.publishLocked(sub, nil)
-	c.subMu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			c.subMu.Lock()
-			c.publishLocked(nil, sub)
-			c.subMu.Unlock()
-		})
-	}
-}
-
-// publishLocked rebuilds and publishes the subscriber slice, adding add (if
-// non-nil) and dropping drop (if present). Caller holds subMu.
-func (c *EvalCache) publishLocked(add, drop *insertSub) {
-	var cur []*insertSub
-	if p := c.subs.Load(); p != nil {
-		cur = *p
-	}
-	next := make([]*insertSub, 0, len(cur)+1)
-	for _, s := range cur {
-		if s != drop {
-			next = append(next, s)
-		}
-	}
-	if add != nil {
-		next = append(next, add)
-	}
-	if len(next) == 0 {
-		c.subs.Store(nil)
-		return
-	}
-	c.subs.Store(&next)
 }
 
 type evalShard struct {
@@ -274,11 +208,10 @@ func (c *EvalCache) finish(key uint64, call *evalCall) {
 	close(call.done)
 }
 
-func (c *EvalCache) put(x []float64, key, sig uint64, ratio, sys, opt float64) {
+func (c *EvalCache) put(key, sig uint64, ratio, sys, opt float64) {
 	sh := &c.shards[key%evalCacheShards]
 	sh.mu.Lock()
-	_, exists := sh.m[key]
-	if !exists && len(sh.m) >= c.perShard {
+	if _, exists := sh.m[key]; !exists && len(sh.m) >= c.perShard {
 		for k := range sh.m {
 			delete(sh.m, k) // evict an arbitrary entry to stay bounded
 			c.evictions.Add(1)
@@ -287,20 +220,6 @@ func (c *EvalCache) put(x []float64, key, sig uint64, ratio, sys, opt float64) {
 	}
 	sh.m[key] = evalEntry{sig: sig, ratio: ratio, sys: sys, opt: opt}
 	sh.mu.Unlock()
-	// Fresh inserts are observed outside the lock: subscribers may be slow
-	// (surrogate bookkeeping) and must not serialize unrelated shard
-	// traffic. In-flight calls make each point's fresh insert happen once;
-	// a waiter that scores the point itself after its leader failed may
-	// insert it again, which overwrites and is not observed. A subscriber
-	// removed concurrently with an insert may see that one final event (the
-	// list is loaded before the fan-out), which observers tolerate.
-	if !exists {
-		if p := c.subs.Load(); p != nil {
-			for _, s := range *p {
-				s.fn(x, ratio, sys, opt)
-			}
-		}
-	}
 }
 
 // RatioCached scores x like RatioCtx but through the memo cache when one is
@@ -350,7 +269,7 @@ func (a *AttackTarget) ratioCachedCtx(ctx context.Context, cache *EvalCache, x [
 	}
 	ratio, sys, opt, err = a.RatioCtx(ctx, x)
 	if err == nil {
-		cache.put(x, key, sig, ratio, sys, opt)
+		cache.put(key, sig, ratio, sys, opt)
 	}
 	return ratio, sys, opt, false, err
 }
@@ -361,7 +280,7 @@ func (a *AttackTarget) leadCall(ctx context.Context, cache *EvalCache, x []float
 	defer cache.finish(key, call)
 	ratio, sys, opt, err = a.RatioCtx(ctx, x)
 	if err == nil {
-		cache.put(x, key, sig, ratio, sys, opt)
+		cache.put(key, sig, ratio, sys, opt)
 		call.ratio, call.sys, call.opt, call.ok = ratio, sys, opt, true
 	}
 	return ratio, sys, opt, err

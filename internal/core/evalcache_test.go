@@ -210,51 +210,6 @@ func TestEvalCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestEvalCacheAddOnInsertRegistry pins the subscriber-registry contract:
-// any number of live subscribers, each fresh insert fans out to all of them,
-// and a remove token detaches exactly its own subscription. The last block
-// is the regression for the shared-cache clobbering bug: removing one
-// subscriber (what a finishing search does) must not silence the others.
-func TestEvalCacheAddOnInsertRegistry(t *testing.T) {
-	cache := NewEvalCache(1<<8, 0)
-	var a, b int
-	removeA := cache.AddOnInsert(func(x []float64, ratio, sys, opt float64) { a++ })
-	removeB := cache.AddOnInsert(func(x []float64, ratio, sys, opt float64) { b++ })
-
-	insert := func(v float64) {
-		x := []float64{v, v, v}
-		k, s, ok := cache.keys(x)
-		if !ok {
-			t.Fatalf("finite point %v not keyable", x)
-		}
-		cache.put(x, k, s, v, v, 1)
-	}
-	insert(1)
-	if a != 1 || b != 1 {
-		t.Fatalf("both subscribers must see the insert: a=%d b=%d", a, b)
-	}
-	// Search A finishes: its removal must leave B attached.
-	removeA()
-	insert(2)
-	if a != 1 {
-		t.Fatalf("removed subscriber still firing: a=%d", a)
-	}
-	if b != 2 {
-		t.Fatalf("surviving subscriber was clobbered by another's removal: b=%d", b)
-	}
-	// Removal is idempotent and cannot touch other subscriptions.
-	removeA()
-	insert(3)
-	if b != 3 {
-		t.Fatalf("idempotent remove detached a live subscriber: b=%d", b)
-	}
-	removeB()
-	insert(4)
-	if a != 1 || b != 3 {
-		t.Fatalf("subscribers fired after removal: a=%d b=%d", a, b)
-	}
-}
-
 // TestEvalCacheNaNInfBypass is the regression for the implementation-defined
 // float->int conversion in key hashing: NaN or infinite demand coordinates
 // must bypass the cache (fresh scoring, no insert, no platform-dependent

@@ -300,31 +300,6 @@ func GradientSearchContext(ctx context.Context, target *AttackTarget, cfg Gradie
 		routingFor(target.PS)
 	}
 
-	// Surrogate trust feedback: when scoring goes through a memo cache,
-	// every FRESH true evaluation (cache inserts only — hits were observed
-	// when first inserted, errors are never cached) is fanned out to the
-	// pipeline stages that want it. The hook lives exactly as long as the
-	// search so a shared cache never retains stage references.
-	if cfg.EvalCache != nil {
-		var observers []TrueEvalObserver
-		for _, s := range target.Pipeline.Stages() {
-			if o, ok := s.(TrueEvalObserver); ok {
-				observers = append(observers, o)
-			}
-		}
-		if len(observers) > 0 {
-			// Concurrent searches sharing one cache each keep their own
-			// fan-out: the remove token detaches exactly this search's
-			// subscription when it returns, never another search's.
-			remove := cfg.EvalCache.AddOnInsert(func(x []float64, ratio, sys, opt float64) {
-				for _, o := range observers {
-					o.ObserveTrueEval(x, ratio, sys, opt)
-				}
-			})
-			defer remove()
-		}
-	}
-
 	// Telemetry: instrument the pipeline and the shared LP solver for the
 	// duration of the search, restoring the uninstrumented fast paths on the
 	// way out. LP counters are cumulative across searches sharing a path
@@ -440,8 +415,6 @@ func GradientSearchContext(ctx context.Context, target *AttackTarget, cfg Gradie
 			cfg.Obs.Counter("lp.warm_hits").Add(delta.WarmHits)
 			cfg.Obs.Counter("lp.cold_solves").Add(delta.ColdSolves)
 			cfg.Obs.Counter("lp.pivots").Add(delta.Pivots)
-			cfg.Obs.Counter("lp.rhs_attempts").Add(delta.RHSAttempts)
-			cfg.Obs.Counter("lp.rhs_hits").Add(delta.RHSHits)
 			cfg.Obs.Gauge("lp.warm_hit_ratio").Set(delta.WarmHitRatio())
 		}
 		if cfg.EvalCache != nil {

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"io"
-	"math"
 	"sync"
 
 	"repro/internal/ad"
-	"repro/internal/linalg"
 	"repro/internal/nn"
 	"repro/internal/rng"
 )
@@ -30,12 +27,6 @@ type SurrogateConfig struct {
 	LR float64
 	// InputScale normalizes surrogate inputs (0 = 1).
 	InputScale float64
-	// InputScales, when non-nil, normalizes each input coordinate by its own
-	// scale (length must equal the wrapped component's input dimension) and
-	// takes precedence over InputScale. Stage inputs that mix magnitudes —
-	// e.g. [splits in [0,1] | demands in [0, capacity]] — need this so no
-	// block of coordinates is squashed to numerical noise.
-	InputScales []float64
 	// Seed drives initialization and batch sampling.
 	Seed uint64
 	// Warmup is the number of observations before the surrogate's gradient
@@ -66,22 +57,22 @@ type onlineSurrogate struct {
 	inDim, outDim int
 	scale         []float64 // per-coordinate input scale, length inDim
 
-	mu       sync.Mutex
-	net      *nn.Sequential
-	opt      *nn.Adam
-	r        *rng.RNG
-	bufX     [][]float64
-	bufY     [][]float64
-	next     int
-	seen     int
-	mb       *nn.Minibatch
-	scratch  []float64 // pooled prediction/scaling buffer, length max(inDim, outDim)
-	lastLoss float64
+	mu      sync.Mutex
+	net     *nn.Sequential
+	opt     *nn.Adam
+	r       *rng.RNG
+	bufX    [][]float64
+	bufY    [][]float64
+	next    int
+	seen    int
+	mb      *nn.Minibatch
+	scratch []float64 // pooled input-scaling buffer, length inDim
 }
 
-// newOnlineSurrogate builds the shared learner behind WithOnlineSurrogate
-// and SurrogateEstimator.
-func newOnlineSurrogate(c Component, inDim, outDim int, cfg SurrogateConfig) *onlineSurrogate {
+// WithOnlineSurrogate wraps an opaque component of the given input/output
+// dimensions. The wrapper is safe for concurrent use; observations from all
+// goroutines feed one shared surrogate.
+func WithOnlineSurrogate(c Component, inDim, outDim int, cfg SurrogateConfig) Differentiable {
 	if len(cfg.Hidden) == 0 {
 		cfg.Hidden = []int{64}
 	}
@@ -98,24 +89,8 @@ func newOnlineSurrogate(c Component, inDim, outDim int, cfg SurrogateConfig) *on
 		cfg.InputScale = 1
 	}
 	scale := make([]float64, inDim)
-	if cfg.InputScales != nil {
-		if len(cfg.InputScales) != inDim {
-			panic("core: SurrogateConfig.InputScales length must equal the input dimension")
-		}
-		copy(scale, cfg.InputScales)
-		for i, v := range scale {
-			if v == 0 {
-				scale[i] = 1
-			}
-		}
-	} else {
-		for i := range scale {
-			scale[i] = cfg.InputScale
-		}
-	}
-	sc := inDim
-	if outDim > sc {
-		sc = outDim
+	for i := range scale {
+		scale[i] = cfg.InputScale
 	}
 	sizes := append(append([]int{inDim}, cfg.Hidden...), outDim)
 	return &onlineSurrogate{
@@ -128,15 +103,8 @@ func newOnlineSurrogate(c Component, inDim, outDim int, cfg SurrogateConfig) *on
 		opt:     nn.NewAdam(cfg.LR),
 		r:       rng.New(cfg.Seed + 1),
 		mb:      nn.NewMinibatch(inDim, outDim, cfg.BatchSize),
-		scratch: make([]float64, sc),
+		scratch: make([]float64, inDim),
 	}
-}
-
-// WithOnlineSurrogate wraps an opaque component of the given input/output
-// dimensions. The wrapper is safe for concurrent use; observations from all
-// goroutines feed one shared surrogate.
-func WithOnlineSurrogate(c Component, inDim, outDim int, cfg SurrogateConfig) Differentiable {
-	return newOnlineSurrogate(c, inDim, outDim, cfg)
 }
 
 // Name implements Component.
@@ -155,31 +123,6 @@ func (s *onlineSurrogate) observe(x, y []float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.observeLocked(x, y)
-}
-
-// observeErr records (x, y) like observe, but first scores the surrogate's
-// PRE-training prediction against the true output: the relative L∞ error
-// drives the estimator's trust/verify loop. warm reports whether the
-// surrogate had passed Warmup before this observation.
-func (s *onlineSurrogate) observeErr(x, y []float64) (relErr float64, warm bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	warm = s.seen >= s.cfg.Warmup
-	if warm {
-		pred := s.predictLocked(x)
-		num, den := 0.0, 0.0
-		for i := range y {
-			if d := math.Abs(pred[i] - y[i]); d > num {
-				num = d
-			}
-			if a := math.Abs(y[i]); a > den {
-				den = a
-			}
-		}
-		relErr = num / (den + 1e-12)
-	}
-	s.observeLocked(x, y)
-	return relErr, warm
 }
 
 func (s *onlineSurrogate) observeLocked(x, y []float64) {
@@ -215,7 +158,7 @@ func (s *onlineSurrogate) trainStepLocked() {
 		idx := s.r.Intn(n)
 		s.mb.AddScaled(s.bufX[idx], s.bufY[idx], s.scale)
 	}
-	s.lastLoss = nn.MSEStep(s.net, s.opt, s.mb)
+	nn.MSEStep(s.net, s.opt, s.mb)
 }
 
 // scaleInto writes x normalized by the per-coordinate scale into dst.
@@ -257,84 +200,9 @@ func (s *onlineSurrogate) vjpInto(x, ybar, grad []float64) {
 	}
 }
 
-// batchVJPInto computes surrogate VJPs for all rows of xs on ONE tape pass:
-// the rows become a [R, inDim] batch through the network and BackwardVJP
-// distributes the per-row cotangents, so R gradients cost one forward +
-// one backward instead of R.
-func (s *onlineSurrogate) batchVJPInto(xs, ybars, grads *linalg.Matrix) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	R := xs.Rows
-	if s.seen < s.cfg.Warmup {
-		for i := range grads.Data {
-			grads.Data[i] = 0
-		}
-		return
-	}
-	c := nn.GetCtx(false)
-	defer nn.PutCtx(c)
-	scaled := linalg.GetVec(R * s.inDim)
-	defer linalg.PutVec(scaled)
-	for r := 0; r < R; r++ {
-		s.scaleInto(scaled[r*s.inDim:(r+1)*s.inDim], xs.Row(r))
-	}
-	in := c.T.VarMat(scaled, R, s.inDim)
-	out := s.net.Forward(c, in)
-	ad.BackwardVJP(out, ybars.Data)
-	g := in.Grad()
-	for r := 0; r < R; r++ {
-		grow := grads.Row(r)
-		base := r * s.inDim
-		for i := range grow {
-			grow[i] = g[base+i] / s.scale[i]
-		}
-	}
-}
-
 // Observations reports how many samples the surrogate has seen (tests).
 func (s *onlineSurrogate) Observations() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.seen
-}
-
-// trainLoss returns the most recent minibatch loss.
-func (s *onlineSurrogate) trainLoss() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastLoss
-}
-
-// predict returns the surrogate network's own prediction (diagnostics: how
-// closely f_θ tracks the true component).
-func (s *onlineSurrogate) predict(x []float64) []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]float64{}, s.predictLocked(x)...)
-}
-
-// predictLocked evaluates f_θ(x) into the shared scratch buffer; the result
-// is valid until the next locked operation.
-func (s *onlineSurrogate) predictLocked(x []float64) []float64 {
-	c := nn.GetCtx(false)
-	defer nn.PutCtx(c)
-	s.scaleInto(s.scratch[:s.inDim], x)
-	out := s.net.Forward(c, c.T.ConstMat(s.scratch[:s.inDim], 1, s.inDim))
-	res := s.scratch[:s.outDim]
-	copy(res, out.Data())
-	return res
-}
-
-// saveTo writes the surrogate network's parameters (gob, see nn.SaveParams).
-func (s *onlineSurrogate) saveTo(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return nn.SaveParams(w, s.net)
-}
-
-// loadFrom restores parameters previously written by saveTo.
-func (s *onlineSurrogate) loadFrom(r io.Reader) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return nn.LoadParams(r, s.net)
 }

@@ -1,10 +1,8 @@
 package core
 
-// -race regression coverage for the surrogate path: the online learner and
-// the estimator's trust state are shared across restart workers, so training,
-// gradient serving, verification, and stats scraping all race against each
-// other in a real search. CI runs these under -race (Makefile bench-surrogate
-// leg).
+// -race regression coverage for the online surrogate: one learner is shared
+// across search workers, so observation, training and gradient serving race
+// against each other. CI runs this under -race.
 
 import (
 	"sync"
@@ -37,61 +35,5 @@ func TestOnlineSurrogateConcurrentForwardTrain(t *testing.T) {
 	wg.Wait()
 	if got := s.(*onlineSurrogate).Observations(); got != 8*60 {
 		t.Fatalf("observations = %d, want %d", got, 8*60)
-	}
-}
-
-func TestSurrogateEstimatorConcurrentSearchWorkers(t *testing.T) {
-	lin := &linComp{w: []float64{0.8, -0.5, 0.3, 0.2}, c: 0.1}
-	cfg := DefaultSurrogateGradConfig(22)
-	cfg.Surrogate.Warmup = 16
-	cfg.TrustWindow = 2
-	cfg.DisagreeTol = 0.5
-	est := WithSurrogateGradient(lin, 4, 1, cfg)
-	p := NewPipeline(est)
-	target := &AttackTarget{
-		Pipeline:  p,
-		InputDim:  4,
-		MaxDemand: 1,
-		RatioOverride: func(x []float64) (float64, float64, float64, error) {
-			sys := p.EvalScalar(x)
-			return sys, sys, 1, nil
-		},
-	}
-	gcfg := DefaultGradientConfig()
-	gcfg.Iters = 40
-	gcfg.Restarts = 4
-	gcfg.Engine = EngineScalar // per-restart goroutines share the estimator
-	gcfg.EvalEvery = 5
-	gcfg.Seed = 23
-	gcfg.EvalCache = NewEvalCache(1<<10, 0)
-
-	// Scrape stats concurrently with the search: the counters are part of
-	// the estimator's public surface and must be race-free.
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				_ = est.Stats()
-			}
-		}
-	}()
-	res, err := GradientSearch(target, gcfg)
-	close(done)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GradEvals == 0 {
-		t.Fatal("search computed no gradients")
-	}
-	st := est.Stats()
-	if st.TrueEvals == 0 || st.Observations == 0 {
-		t.Fatalf("estimator saw no traffic: %+v", st)
 	}
 }

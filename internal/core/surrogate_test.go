@@ -4,8 +4,21 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/rng"
 )
+
+// predict returns the surrogate network's own prediction f_θ(x), to check
+// how closely it tracks the true component.
+func (s *onlineSurrogate) predict(x []float64) []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := nn.GetCtx(false)
+	defer nn.PutCtx(c)
+	s.scaleInto(s.scratch, x)
+	out := s.net.Forward(c, c.T.ConstMat(s.scratch, 1, s.inDim))
+	return append([]float64{}, out.Data()...)
+}
 
 func TestOnlineSurrogateLearnsGradient(t *testing.T) {
 	// Opaque component: h(x) = [x0^2 + x1, 2*x1]. After enough

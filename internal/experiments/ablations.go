@@ -96,32 +96,27 @@ func AblationObjective(s *Setup, base core.GradientConfig) ([]AblationRow, error
 }
 
 // AblationGradientEstimator compares the exact chain-rule gradient against
-// the sampled estimators (finite differences, SPSA, and the surrogate-guided
-// estimator with its trust/verify loop) applied to an opaque routing+MLU
-// stage — the gray-box spectrum of §3.2/§6. Alongside ratio and runtime it
-// reports each estimator's true-evaluation bill for the opaque stage:
-// probes are counted analytically for FD/SPSA (2n+1 resp. 2·probes+1 per
-// gradient, plus one per scoring eval) and measured through the estimator's
-// own counters for the surrogate rows.
+// the sampled estimators (finite differences, SPSA, and the §6 online DNN
+// surrogate) applied to an opaque routing+MLU stage — the gray-box spectrum
+// of §3.2/§6. Alongside ratio and runtime it reports each estimator's
+// true-evaluation bill for the opaque stage, counted analytically: 2n+1
+// (FD), 2·probes+1 (SPSA) or 1 (surrogate) per gradient, plus one per
+// scoring eval.
 func AblationGradientEstimator(s *Setup, base core.GradientConfig) ([]AblationRow, error) {
 	n := int64(s.Model.TotalPaths() + s.Model.NumPairs())
-	verified, est := s.Model.SurrogateRoutingPipeline(surrogateGradCfg(s))
 	pipelines := []struct {
 		name      string
 		p         *core.Pipeline
-		cache     *core.EvalCache
 		trueEvals func(res *core.SearchResult) int64
 	}{
-		{"exact chain rule", s.Model.Pipeline(), nil,
+		{"exact chain rule", s.Model.Pipeline(),
 			func(*core.SearchResult) int64 { return -1 }},
-		{"finite differences", s.Model.OpaqueRoutingPipeline().Grayboxed(1e-4), nil,
+		{"finite differences", s.Model.OpaqueRoutingPipeline().Grayboxed(1e-4),
 			func(res *core.SearchResult) int64 { return int64(res.GradEvals)*(2*n+1) + int64(res.Evals) }},
-		{"spsa (64 probes)", spsaPipeline(s, 64), nil,
+		{"spsa (64 probes)", spsaPipeline(s, 64),
 			func(res *core.SearchResult) int64 { return int64(res.GradEvals)*(2*64+1) + int64(res.Evals) }},
-		{"online dnn surrogate", surrogatePipeline(s), nil,
+		{"online dnn surrogate", surrogatePipeline(s),
 			func(res *core.SearchResult) int64 { return int64(res.GradEvals) + int64(res.Evals) }},
-		{"surrogate-guided (verified)", verified, core.NewEvalCache(1<<14, 0),
-			func(*core.SearchResult) int64 { return est.Stats().TrueEvals }},
 	}
 	var rows []AblationRow
 	for _, pl := range pipelines {
@@ -129,7 +124,6 @@ func AblationGradientEstimator(s *Setup, base core.GradientConfig) ([]AblationRo
 		target.Pipeline = pl.p
 		cfg := base
 		cfg.Seed = s.Opts.Seed + 900
-		cfg.EvalCache = pl.cache
 		res, err := core.GradientSearch(&target, cfg)
 		if err != nil {
 			return nil, err
@@ -144,12 +138,6 @@ func AblationGradientEstimator(s *Setup, base core.GradientConfig) ([]AblationRo
 		})
 	}
 	return rows, nil
-}
-
-// surrogateGradCfg is the estimator-ablation configuration of the verified
-// surrogate: defaults, seeded like the other rows.
-func surrogateGradCfg(s *Setup) core.SurrogateGradConfig {
-	return core.DefaultSurrogateGradConfig(s.Opts.Seed + 1400)
 }
 
 // spsaPipeline wraps the opaque routing stage with an SPSA estimator.

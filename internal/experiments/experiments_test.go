@@ -437,8 +437,8 @@ func TestAblationEstimators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("estimator ablation rows = %d, want 5", len(rows))
+	if len(rows) != 4 {
+		t.Fatalf("estimator ablation rows = %d, want 4", len(rows))
 	}
 	for _, r := range rows {
 		if r.Found && r.Ratio < 1 {
@@ -454,11 +454,6 @@ func TestAblationEstimators(t *testing.T) {
 		if r.TrueEvals <= 0 {
 			t.Fatalf("estimator %s reported no true evals (%d)", r.Config, r.TrueEvals)
 		}
-	}
-	// The verified surrogate must never spend more true evaluations than
-	// plain finite differences on the same budget.
-	if fd, sur := rows[1].TrueEvals, rows[4].TrueEvals; sur > fd {
-		t.Fatalf("verified surrogate spent %d true evals, FD spent %d", sur, fd)
 	}
 }
 

@@ -95,12 +95,6 @@ func MatMulBlockedAddInto(c, a, b []float64, m, k, p int) {
 	matMulAddRange(c, a, b, 0, m, k, p)
 }
 
-// MatMulBlockedInto computes C = A·B, overwriting C.
-func MatMulBlockedInto(c, a, b []float64, m, k, p int) {
-	ZeroInto(c)
-	MatMulBlockedAddInto(c, a, b, m, k, p)
-}
-
 // matMulAddRange runs the blocked NN kernel over output rows [i0, i1).
 func matMulAddRange(c, a, b []float64, i0, i1, k, p int) {
 	for kb := 0; kb < k; kb += mmBlockK {

@@ -78,12 +78,6 @@ func MatMulAddInto(c, a, b []float64, m, k, p int) {
 	}
 }
 
-// MatMulInto computes C = A·B, overwriting C.
-func MatMulInto(c, a, b []float64, m, k, p int) {
-	ZeroInto(c)
-	MatMulAddInto(c, a, b, m, k, p)
-}
-
 // MatMulNTAddInto accumulates C += A·Bᵀ for row-major A [m,p], B [k,p],
 // C [m,k] — the dA = dC·Bᵀ rule of a matmul backward pass.
 func MatMulNTAddInto(c, a, b []float64, m, k, p int) {
@@ -135,36 +129,6 @@ func AddInto(dst, a, b []float64) {
 	}
 }
 
-// SubInto computes dst = a - b elementwise.
-func SubInto(dst, a, b []float64) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("linalg: SubInto length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-}
-
-// MulInto computes dst = a * b elementwise.
-func MulInto(dst, a, b []float64) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("linalg: MulInto length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
-}
-
-// ScaleInto computes dst = alpha * v.
-func ScaleInto(dst []float64, alpha float64, v []float64) {
-	if len(dst) != len(v) {
-		panic("linalg: ScaleInto length mismatch")
-	}
-	for i := range dst {
-		dst[i] = alpha * v[i]
-	}
-}
-
 // AccumInto computes dst += src.
 func AccumInto(dst, src []float64) {
 	if len(dst) != len(src) {
@@ -175,24 +139,8 @@ func AccumInto(dst, src []float64) {
 	}
 }
 
-// ZeroInto clears v.
-func ZeroInto(v []float64) {
-	for i := range v {
-		v[i] = 0
-	}
-}
-
 // MatVecInto computes y = M·x into a caller-provided buffer — the
 // allocation-free sibling of MatVec.
 func (m *Matrix) MatVecInto(y, x []float64) {
 	MatVecInto(y, m.Data, x, m.Rows, m.Cols)
-}
-
-// MatMulIntoMat computes dst = A·B without allocating; dst must be
-// preshaped to [a.Rows, b.Cols].
-func MatMulIntoMat(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("linalg: MatMulIntoMat dimension mismatch")
-	}
-	MatMulInto(dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
 }

@@ -73,12 +73,6 @@ type luFactor struct {
 // nEtas returns the eta-file length (updates since the last refactorization).
 func (f *luFactor) nEtas() int { return len(f.epiv) }
 
-// fillEntries returns the total stored L+U+eta entries — the telemetry
-// layer's factor-size measure.
-func (f *luFactor) fillEntries() int {
-	return len(f.lrow) + len(f.urow) + len(f.epos)
-}
-
 // preorder computes a column permutation of basis that peels row/column
 // singletons to the triangular fringes, leaving only the irreducible "bump"
 // for general elimination — the classical reinversion ordering that keeps LU

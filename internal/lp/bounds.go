@@ -73,9 +73,9 @@ func (s *Solver) InvalidateBasis() {
 }
 
 // ResolveBounds re-solves p after a variable-bound-only mutation, reusing
-// the retained basis. The contract mirrors ResolveRHS: since the last
-// successful solve (or LoadBasis), only variable bounds may have changed —
-// costs, coefficients, relations, and the RHS must be untouched.
+// the retained basis. Contract: since the last successful solve (or
+// LoadBasis), only variable bounds may have changed — costs, coefficients,
+// relations, and the RHS must be untouched.
 //
 // Fast path: refresh the bound arrays of the computational form, normalize
 // nonbasic statuses against the new bounds, re-factorize, and check primal

@@ -56,42 +56,90 @@ func mutateBounds(p *Problem, r *rng.RNG) bool {
 	return true
 }
 
+// branchBounds applies a branch-and-bound branch to p: it cuts one variable
+// whose value in sol lies strictly inside its box off that value (down:
+// hi below it; up: lo above it). When the variable is basic, the retained
+// basis goes primal infeasible and ResolveBounds must repair it with the
+// dual simplex. It returns false when no variable is interior.
+func branchBounds(p *Problem, sol *Solution, r *rng.RNG) bool {
+	var interior []VarID
+	for j := 0; j < p.NumVars(); j++ {
+		v := VarID(j)
+		lo, hi := p.VarBounds(v)
+		if x := sol.X[j]; x > lo+1e-6 && x < hi-1e-6 {
+			interior = append(interior, v)
+		}
+	}
+	if len(interior) == 0 {
+		return false
+	}
+	v := interior[r.Intn(len(interior))]
+	lo, hi := p.VarBounds(v)
+	x, d := sol.X[v], r.Uniform(0.05, 0.5)
+	if r.Intn(2) == 0 {
+		p.SetVarBounds(v, lo, math.Max(lo, x-d))
+	} else {
+		p.SetVarBounds(v, math.Min(hi, x+d), hi)
+	}
+	return true
+}
+
 // TestResolveBoundsRandomizedEquivalence drives a warm solver through chains
 // of single-variable bound edits via ResolveBounds and pins every answer to
 // a pristine dense cold solve: statuses must agree (including the dual
 // simplex's trusted infeasibility verdicts) and optimal objectives must
-// match to 1e-9 relative.
+// match to 1e-9 relative. Two chains run per instance: random tightenings
+// and widenings (mutateBounds), and branch-and-bound cuts through the
+// current optimum (branchBounds), which make the retained basis primal
+// infeasible; the dual simplex must complete some of those re-solves.
 func TestResolveBoundsRandomizedEquivalence(t *testing.T) {
 	shapes := []struct{ vars, cons int }{
 		{4, 3}, {8, 5}, {12, 12}, {20, 14},
 	}
-	for _, sh := range shapes {
-		for seed := uint64(1); seed <= 25; seed++ {
-			p := buildRandomBoxLP(sh.vars, sh.cons, seed*77+uint64(sh.cons))
-			warm := &Solver{}
-			if warm.Solve(p).Status != StatusOptimal {
-				continue // need a retained basis to warm from
-			}
-			r := rng.New(seed * 13)
-			for step := 0; step < 8; step++ {
-				if !mutateBounds(p, r) {
-					continue
+	type mutation func(p *Problem, last *Solution, r *rng.RNG) bool
+	chains := []struct {
+		name   string
+		mutate mutation
+	}{
+		{"random", func(p *Problem, _ *Solution, r *rng.RNG) bool { return mutateBounds(p, r) }},
+		{"branch", branchBounds},
+	}
+	var dualResolves int64
+	for _, ch := range chains {
+		for _, sh := range shapes {
+			for seed := uint64(1); seed <= 25; seed++ {
+				p := buildRandomBoxLP(sh.vars, sh.cons, seed*77+uint64(sh.cons))
+				warm := &Solver{}
+				last := warm.Solve(p)
+				if last.Status != StatusOptimal {
+					continue // need a retained basis to warm from
 				}
-				ws := warm.ResolveBounds(p)
-				ds := (&denseSolver{}).Solve(p)
-				if ws.Status != ds.Status {
-					t.Fatalf("%dx%d seed %d step %d: warm %v, dense %v",
-						sh.vars, sh.cons, seed, step, ws.Status, ds.Status)
+				r := rng.New(seed * 13)
+				for step := 0; step < 8; step++ {
+					if !ch.mutate(p, last, r) {
+						continue
+					}
+					ws := warm.ResolveBounds(p)
+					ds := (&denseSolver{}).Solve(p)
+					if ws.Status != ds.Status {
+						t.Fatalf("%s %dx%d seed %d step %d: warm %v, dense %v",
+							ch.name, sh.vars, sh.cons, seed, step, ws.Status, ds.Status)
+					}
+					if ds.Status != StatusOptimal {
+						break // chain ends once the box empties
+					}
+					if d := relDiff(ws.Objective, ds.Objective); d > 1e-9 {
+						t.Fatalf("%s %dx%d seed %d step %d: warm obj %.15g, dense %.15g (rel %.3g)",
+							ch.name, sh.vars, sh.cons, seed, step, ws.Objective, ds.Objective, d)
+					}
+					last = ws
 				}
-				if ds.Status != StatusOptimal {
-					break // chain ends once the box empties
-				}
-				if d := relDiff(ws.Objective, ds.Objective); d > 1e-9 {
-					t.Fatalf("%dx%d seed %d step %d: warm obj %.15g, dense %.15g (rel %.3g)",
-						sh.vars, sh.cons, seed, step, ws.Objective, ds.Objective, d)
-				}
+				dualResolves += warm.Stats.DualResolves.Load()
 			}
 		}
+	}
+	if dualResolves == 0 {
+		t.Fatal("no bound re-solve was completed by the dual simplex")
 	}
 }
 

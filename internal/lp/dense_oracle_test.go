@@ -16,9 +16,7 @@ import (
 // shifted variables for finite bounds, split variables for free ones,
 // slack/surplus columns for inequalities, explicit rows for two-sided
 // bounds), runs phase 1 over artificials and phase 2 over the real costs,
-// warm-starts from the previous optimal basis when shapes match, and — with
-// KeepRHSFactors — re-solves RHS-only perturbations from the final
-// tableau's slack columns with zero pivots (ResolveRHS).
+// and warm-starts from the previous optimal basis when shapes match.
 
 // pivotEps is the minimum tableau entry for a row to enter the ratio test.
 const pivotEps = 1e-9
@@ -45,28 +43,6 @@ type denseSolver struct {
 	// cached optimal basis of the previous solve
 	warmBasis []int
 	warmTotal int
-
-	// KeepRHSFactors, when set before solving, makes every successful solve
-	// additionally cache the slack-column block of the final tableau (the
-	// columns of B⁻¹ reachable through slack/surplus variables) so a later
-	// ResolveRHS can re-solve an RHS-only perturbation with zero pivots.
-	KeepRHSFactors bool
-
-	// per-row slack bookkeeping of the last buildStandard: the standard-form
-	// column of row r's slack/surplus variable (-1 for EQ rows) and its sign
-	// (+1 slack, -1 surplus).
-	rowSlackCol  []int
-	rowSlackSign []float64
-
-	// RHS-delta factor cache (valid when rhsReady)
-	rhsReady       bool
-	rhsNV, rhsNC   int // structure fingerprint: len(vars), len(cons)
-	rhsM, rhsTotal int
-	rhsPrevB       []float64 // standard-form b of the cached solve
-	rhsXB          []float64 // basic-variable values (final tableau RHS column)
-	rhsBinv        []float64 // m×m row-major; column r valid iff rowSlackCol[r] >= 0
-	rhsBNew        []float64 // scratch: rebuilt standard-form b
-	rhsXBNew       []float64 // scratch: candidate basic values under the new b
 }
 
 // xform maps one model variable to standard-form columns:
@@ -144,8 +120,6 @@ func (s *denseSolver) buildStandard(p *Problem) (m, total int) {
 		s.c[i] = 0
 	}
 
-	s.rowSlackCol = growI(s.rowSlackCol, m)
-	s.rowSlackSign = growF(s.rowSlackSign, m)
 	si := ncols // next slack column
 	row := 0
 	for _, con := range p.cons {
@@ -162,15 +136,12 @@ func (s *denseSolver) buildStandard(p *Problem) (m, total int) {
 			}
 			rhs -= t.Coeff * f.shift
 		}
-		s.rowSlackCol[row], s.rowSlackSign[row] = -1, 0
 		switch con.rel {
 		case LE:
 			ar[si] = 1
-			s.rowSlackCol[row], s.rowSlackSign[row] = si, 1
 			si++
 		case GE:
 			ar[si] = -1
-			s.rowSlackCol[row], s.rowSlackSign[row] = si, -1
 			si++
 		}
 		s.b[row] = rhs
@@ -180,10 +151,8 @@ func (s *denseSolver) buildStandard(p *Problem) (m, total int) {
 		if !math.IsInf(v.lo, -1) && !math.IsInf(v.hi, 1) {
 			ar := s.a[row*total : (row+1)*total]
 			ar[s.forms[i].posCol] = 1
-			s.rowSlackCol[row], s.rowSlackSign[row] = -1, 0
 			if v.hi > v.lo {
 				ar[si] = 1
-				s.rowSlackCol[row], s.rowSlackSign[row] = si, 1
 				si++
 				s.b[row] = v.hi - v.lo
 			} else {
@@ -192,7 +161,6 @@ func (s *denseSolver) buildStandard(p *Problem) (m, total int) {
 			row++
 		}
 	}
-	s.rhsNV, s.rhsNC = nv, len(p.cons)
 
 	sense := 1.0
 	if p.objSense == Maximize {
@@ -279,10 +247,9 @@ func (s *denseSolver) Solve(p *Problem) *Solution {
 	s.Stats.Phase2Pivots.Add(int64(p2))
 	sol.Status = st
 	if st != StatusOptimal {
-		// A failed solve invalidates the cached basis and RHS factors.
+		// A failed solve invalidates the cached basis.
 		s.warmBasis = s.warmBasis[:0]
 		s.warmTotal = 0
-		s.rhsReady = false
 		return sol
 	}
 	s.extract(p, total, sol)
@@ -430,7 +397,6 @@ func (s *denseSolver) finish(t [][]float64, basis []int, total, width int) {
 	}
 	s.warmBasis = append(s.warmBasis[:0], basis...)
 	s.warmTotal = total
-	s.captureRHSFactors(t, basis, width)
 }
 
 // extract maps the standard-form solution back to model variables and
@@ -451,151 +417,6 @@ func (s *denseSolver) extract(p *Problem, total int, sol *Solution) {
 		obj += t.Coeff * sol.X[t.Var]
 	}
 	sol.Objective = obj
-}
-
-// rhsFeasEps mirrors the warm-start feasibility tolerance: basic values this
-// far below zero abandon the fast path, smaller negatives are clamped.
-const rhsFeasEps = 1e-7
-
-// captureRHSFactors snapshots everything ResolveRHS needs from a finished
-// solve: the standard-form b, the basic-variable values, and the reachable
-// B⁻¹ columns. No-op unless KeepRHSFactors is set and the basis covers every
-// row (redundant-row removal leaves a partial basis that cannot be updated).
-func (s *denseSolver) captureRHSFactors(t [][]float64, basis []int, width int) {
-	m := len(s.rowSlackCol)
-	if !s.KeepRHSFactors || len(basis) != m {
-		s.rhsReady = false
-		return
-	}
-	s.rhsM, s.rhsTotal = m, s.warmTotal
-	s.rhsPrevB = append(s.rhsPrevB[:0], s.b[:m]...)
-	s.rhsXB = growF(s.rhsXB, m)
-	s.rhsBinv = growF(s.rhsBinv, m*m)
-	for i := 0; i < m; i++ {
-		s.rhsXB[i] = t[i][width-1]
-		row := s.rhsBinv[i*m : (i+1)*m]
-		for r := 0; r < m; r++ {
-			if sc := s.rowSlackCol[r]; sc >= 0 {
-				row[r] = s.rowSlackSign[r] * t[i][sc]
-			} else {
-				row[r] = 0
-			}
-		}
-	}
-	s.rhsReady = true
-}
-
-// buildRHS recomputes the standard-form right-hand side of p into s.rhsBNew
-// without touching the coefficient matrix, mirroring buildStandard's rhs
-// arithmetic exactly (bound shifts applied term by term, bound rows appended
-// in variable order). Returns nil if the row count no longer matches the
-// cached solve — a bound flipped between one- and two-sided, i.e. the
-// structure changed.
-func (s *denseSolver) buildRHS(p *Problem) []float64 {
-	s.rhsBNew = growF(s.rhsBNew, s.rhsM)
-	row := 0
-	for _, con := range p.cons {
-		rhs := con.rhs
-		for _, t := range con.expr.Terms {
-			rhs -= t.Coeff * s.forms[t.Var].shift
-		}
-		if row >= s.rhsM {
-			return nil
-		}
-		s.rhsBNew[row] = rhs
-		row++
-	}
-	for _, v := range p.vars {
-		if !math.IsInf(v.lo, -1) && !math.IsInf(v.hi, 1) {
-			if row >= s.rhsM {
-				return nil
-			}
-			if v.hi > v.lo {
-				s.rhsBNew[row] = v.hi - v.lo
-			} else {
-				s.rhsBNew[row] = 0
-			}
-			row++
-		}
-	}
-	return s.rhsBNew[:row]
-}
-
-// ResolveRHS re-solves p assuming ONLY constraint right-hand sides (and/or
-// two-sided bound gaps) changed since the last successful solve on this
-// solver. If the cached optimal basis is still primal feasible under the new
-// b, the new optimum is produced with zero pivots; otherwise — or when no
-// factors are cached, the structure fingerprint differs, or a changed row
-// has no slack column — it falls back to Solve's normal warm/cold path,
-// which is always correct.
-//
-// Contract: between the cached solve and this call, the caller must not have
-// changed variable count or one-sided bounds, constraint count, relations,
-// coefficients, or the objective (use SetConstraintRHS for the intended
-// mutation). The fast path cannot detect coefficient edits and would return
-// a stale vertex; structural edits are caught by the fingerprint and fall
-// back. Requires KeepRHSFactors to have been set before the cached solve.
-func (s *denseSolver) ResolveRHS(p *Problem) *Solution {
-	if !s.rhsReady || len(p.vars) != s.rhsNV || len(p.cons) != s.rhsNC ||
-		len(s.warmBasis) != s.rhsM {
-		return s.Solve(p)
-	}
-	s.Stats.RHSAttempts.Add(1)
-	m := s.rhsM
-	bNew := s.buildRHS(p)
-	if bNew == nil || len(bNew) != m {
-		// A bound flipped between two-sided and one-sided: structure changed.
-		return s.Solve(p)
-	}
-
-	// xB_new = xB_old + Σ_r Δb_r · B⁻¹e_r over the changed rows.
-	s.rhsXBNew = growF(s.rhsXBNew, m)
-	xb := s.rhsXBNew
-	copy(xb, s.rhsXB[:m])
-	for r := 0; r < m; r++ {
-		d := bNew[r] - s.rhsPrevB[r]
-		if d == 0 {
-			continue
-		}
-		if s.rowSlackCol[r] < 0 {
-			return s.Solve(p) // EQ row changed: no B⁻¹ column cached
-		}
-		for i := 0; i < m; i++ {
-			xb[i] += d * s.rhsBinv[i*m+r]
-		}
-	}
-	for i := 0; i < m; i++ {
-		if xb[i] < -rhsFeasEps {
-			// Basis went primal infeasible under the new b: the cached vertex
-			// is no longer optimal, pivoting is required — fall back.
-			return s.Solve(p)
-		}
-	}
-
-	// Hit: same basis, dual feasibility untouched, primal feasibility just
-	// verified — the cached basis is optimal for the new b.
-	s.Stats.Solves.Add(1)
-	s.Stats.RHSHits.Add(1)
-	for i := 0; i < m; i++ {
-		if xb[i] < 0 {
-			xb[i] = 0
-		}
-	}
-	copy(s.rhsPrevB, bNew)
-	copy(s.rhsXB, xb)
-	total := s.rhsTotal
-	s.xstd = growF(s.xstd, total)
-	for i := range s.xstd {
-		s.xstd[i] = 0
-	}
-	for i, bi := range s.warmBasis {
-		if bi < total {
-			s.xstd[bi] = xb[i]
-		}
-	}
-	sol := &Solution{Status: StatusOptimal}
-	s.extract(p, total, sol)
-	return sol
 }
 
 // runSimplex optimizes the tableau in place. Columns >= allowCols are never

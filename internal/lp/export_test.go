@@ -5,6 +5,5 @@ package lp
 // on top of lp.
 type DenseSolver = denseSolver
 
-// NewDenseSolver returns a fresh dense oracle; keepRHS enables the RHS factor
-// cache its ResolveRHS fast path reads.
-func NewDenseSolver(keepRHS bool) *DenseSolver { return &denseSolver{KeepRHSFactors: keepRHS} }
+// NewDenseSolver returns a fresh dense oracle.
+func NewDenseSolver() *DenseSolver { return &denseSolver{} }

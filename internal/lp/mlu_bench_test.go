@@ -27,7 +27,7 @@ func BenchmarkMLUEngines(b *testing.B) {
 		solve func() func(*lp.Problem) *lp.Solution
 	}{
 		{"revised", func() func(*lp.Problem) *lp.Solution { return lp.NewSolver().Solve }},
-		{"dense", func() func(*lp.Problem) *lp.Solution { return lp.NewDenseSolver(false).Solve }},
+		{"dense", func() func(*lp.Problem) *lp.Solution { return lp.NewDenseSolver().Solve }},
 	}
 	for _, topo := range []struct {
 		name string

@@ -132,27 +132,14 @@ func (p *Problem) Reset() {
 // NumVars returns the variable count.
 func (p *Problem) NumVars() int { return len(p.vars) }
 
-// NumConstraints returns the constraint count.
-func (p *Problem) NumConstraints() int { return len(p.cons) }
-
 // AddVariable adds a variable with bounds [lo, hi]. Use math.Inf for
-// unbounded sides. An empty name gets an automatic "x<i>" name, generated
-// lazily by VarName so the hot path never formats strings.
+// unbounded sides.
 func (p *Problem) AddVariable(name string, lo, hi float64) VarID {
 	if lo > hi {
 		panic(fmt.Sprintf("lp: variable %s has lo > hi", name))
 	}
 	p.vars = append(p.vars, variable{name: name, lo: lo, hi: hi})
 	return VarID(len(p.vars) - 1)
-}
-
-// VarName returns the name of a variable (auto-named variables render as
-// "x<index>").
-func (p *Problem) VarName(v VarID) string {
-	if p.vars[v].name == "" {
-		return fmt.Sprintf("x%d", int(v))
-	}
-	return p.vars[v].name
 }
 
 // VarBounds returns the bounds of a variable.
@@ -203,7 +190,7 @@ func (p *Problem) internTerms(ts []Term) []Term {
 }
 
 // AddConstraint adds expr rel rhs and returns the constraint's index (its
-// insertion order), usable with SetConstraintRHS. The expression's terms are
+// insertion order). The expression's terms are
 // copied; the caller keeps ownership of expr.
 func (p *Problem) AddConstraint(name string, expr *Expr, rel Rel, rhs float64) int {
 	p.cons = append(p.cons, constraint{
@@ -214,18 +201,6 @@ func (p *Problem) AddConstraint(name string, expr *Expr, rel Rel, rhs float64) i
 	})
 	return len(p.cons) - 1
 }
-
-// SetConstraintRHS replaces the right-hand side of constraint i (an index
-// returned by AddConstraint) without touching its expression — the mutation
-// Solver.ResolveRHS is built for. Any constant the original expression
-// carried was folded into the stored rhs at AddConstraint time and is NOT
-// re-applied here; rhs is interpreted against the constant-free expression.
-func (p *Problem) SetConstraintRHS(i int, rhs float64) {
-	p.cons[i].rhs = rhs
-}
-
-// ConstraintRHS returns the (constant-folded) right-hand side of constraint i.
-func (p *Problem) ConstraintRHS(i int) float64 { return p.cons[i].rhs }
 
 // SetObjective sets the optimization sense and objective expression (terms
 // are copied; the caller keeps ownership of expr).

@@ -18,8 +18,8 @@ import (
 // zero when free), so two-sided boxes never materialize as rows; phase 1
 // minimizes the sum of bound violations with composite costs recomputed per
 // iteration; a triangular crash basis covers infeasible rows with structural
-// columns before phase 1 ever runs; the dual simplex re-solves an RHS
-// perturbation from the retained (still dual-feasible) basis in a handful of
+// columns before phase 1 ever runs; the dual simplex re-solves a bound
+// tightening from the retained (still dual-feasible) basis in a handful of
 // pivots instead of a cold restart.
 
 const (
@@ -52,7 +52,7 @@ const (
 )
 
 // revised holds the engine state retained across solves for warm starts and
-// RHS-delta dual re-solves.
+// bound-tightening dual re-solves.
 type revised struct {
 	sf sparseForm
 	f  luFactor
@@ -80,8 +80,8 @@ type revised struct {
 	nv, nc int
 	valid  bool
 
-	// sfProb identifies the Problem sf was built from. The resolve paths may
-	// refresh sf incrementally (rebuildRHS/rebuildBounds) only when the
+	// sfProb identifies the Problem sf was built from. The resolve path may
+	// refresh sf incrementally (rebuildBounds) only when the
 	// caller hands back the very same Problem — a shape match alone is not
 	// enough: a pooled solver whose last problem merely had the same
 	// dimensions would otherwise keep its stale matrix and costs.
@@ -739,9 +739,9 @@ func (rv *revised) primal(stats *SolverStats, maxIter int, deadline time.Time) (
 
 // dual runs the bounded-variable dual simplex from a dual-feasible basis,
 // driving out primal bound violations one leaving row at a time. It is the
-// RHS-delta continuation: a demand or capacity delta leaves reduced costs
-// untouched, so the retained basis re-solves in however many pivots the
-// violations need instead of a cold restart.
+// bound-tightening continuation: a branch-and-bound bound edit leaves reduced
+// costs untouched, so the retained basis re-solves in however many pivots
+// the violations need instead of a cold restart.
 func (rv *revised) dual(stats *SolverStats, maxIter int, deadline time.Time) (Status, int) {
 	sf := &rv.sf
 	m := sf.m

@@ -26,12 +26,6 @@ type SolverStats struct {
 	// Pivots is the total number of simplex pivots across all solves (warm
 	// phase-2 pivots and both cold phases).
 	Pivots atomic.Int64
-	// RHSAttempts counts ResolveRHS calls that reached the delta fast path
-	// (structure matched and factors were cached).
-	RHSAttempts atomic.Int64
-	// RHSHits counts ResolveRHS calls completed from the cached basis with
-	// zero pivots — the basis stayed primal feasible under the new RHS.
-	RHSHits atomic.Int64
 	// BoundAttempts counts ResolveBounds calls that reached the revised
 	// warm path (a retained basis matched the problem shape).
 	BoundAttempts atomic.Int64
@@ -49,9 +43,9 @@ type SolverStats struct {
 	// DualPivots counts dual-simplex pivots: bound violations repaired from
 	// a retained dual-feasible basis instead of a cold restart.
 	DualPivots atomic.Int64
-	// DualResolves counts ResolveRHS calls completed by the dual simplex —
-	// the basis went primal infeasible under the new RHS but was repaired in
-	// DualPivots pivots without a cold solve.
+	// DualResolves counts ResolveBounds calls completed by the dual simplex —
+	// the basis went primal infeasible under the new bounds but was repaired
+	// in DualPivots pivots without a cold solve.
 	DualResolves atomic.Int64
 	// Refactors counts basis refactorizations (periodic RefactorEvery
 	// triggers, stability triggers, and warm/cold starts).
@@ -72,8 +66,6 @@ func (s *SolverStats) Snapshot() SolverStatsSnapshot {
 		WarmHits:      s.WarmHits.Load(),
 		ColdSolves:    s.ColdSolves.Load(),
 		Pivots:        s.Pivots.Load(),
-		RHSAttempts:   s.RHSAttempts.Load(),
-		RHSHits:       s.RHSHits.Load(),
 		BoundAttempts: s.BoundAttempts.Load(),
 		BoundHits:     s.BoundHits.Load(),
 		Phase1Pivots:  s.Phase1Pivots.Load(),
@@ -94,8 +86,6 @@ func (s *SolverStats) AddSnapshot(d SolverStatsSnapshot) {
 	s.WarmHits.Add(d.WarmHits)
 	s.ColdSolves.Add(d.ColdSolves)
 	s.Pivots.Add(d.Pivots)
-	s.RHSAttempts.Add(d.RHSAttempts)
-	s.RHSHits.Add(d.RHSHits)
 	s.BoundAttempts.Add(d.BoundAttempts)
 	s.BoundHits.Add(d.BoundHits)
 	s.Phase1Pivots.Add(d.Phase1Pivots)
@@ -115,8 +105,6 @@ type SolverStatsSnapshot struct {
 	WarmHits      int64
 	ColdSolves    int64
 	Pivots        int64
-	RHSAttempts   int64
-	RHSHits       int64
 	BoundAttempts int64
 	BoundHits     int64
 	Phase1Pivots  int64
@@ -136,8 +124,6 @@ func (a SolverStatsSnapshot) Sub(b SolverStatsSnapshot) SolverStatsSnapshot {
 		WarmHits:      a.WarmHits - b.WarmHits,
 		ColdSolves:    a.ColdSolves - b.ColdSolves,
 		Pivots:        a.Pivots - b.Pivots,
-		RHSAttempts:   a.RHSAttempts - b.RHSAttempts,
-		RHSHits:       a.RHSHits - b.RHSHits,
 		BoundAttempts: a.BoundAttempts - b.BoundAttempts,
 		BoundHits:     a.BoundHits - b.BoundHits,
 		Phase1Pivots:  a.Phase1Pivots - b.Phase1Pivots,
@@ -189,7 +175,7 @@ type Solver struct {
 	RefactorEvery int
 
 	// rev is the revised-simplex engine state, retained across solves for
-	// warm starts and dual-simplex RHS/bound re-solves.
+	// warm starts and dual-simplex bound re-solves.
 	rev *revised
 }
 

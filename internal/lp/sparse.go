@@ -136,15 +136,6 @@ func (f *sparseForm) build(p *Problem) {
 	}
 }
 
-// rebuildRHS refreshes only f.b from p — the ResolveRHS mutation. In the
-// computational form the right-hand side is the model rhs verbatim (no bound
-// shifts), so this is a straight copy.
-func (f *sparseForm) rebuildRHS(p *Problem) {
-	for i := range p.cons {
-		f.b[i] = p.cons[i].rhs
-	}
-}
-
 // rebuildBounds refreshes only the structural-column bounds from p — the
 // ResolveBounds mutation. Slack bounds encode constraint relations, which a
 // bound edit cannot change, and costs/A are untouched by construction, so

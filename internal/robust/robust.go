@@ -52,57 +52,6 @@ func worstRatio(m *dote.Model, inputs [][]float64) (float64, error) {
 	return worst, nil
 }
 
-// IterativeResult records one attack-retrain round.
-type IterativeResult struct {
-	Round int
-	// FoundRatio is the gap the analyzer discovered THIS round (against
-	// the weights from the previous round).
-	FoundRatio float64
-	// TestMean is the in-distribution mean ratio after retraining.
-	TestMean float64
-}
-
-// IterativeHarden runs the full §6 robustness loop: attack, fold the found
-// input into the training set, retrain, repeat. mine is called each round
-// with the current model and must return an adversarial input and its
-// ratio (ok=false stops the loop — the analyzer found nothing). The
-// returned trajectory shows whether the discovered gap shrinks over rounds.
-func IterativeHarden(
-	m *dote.Model,
-	trainEx, testEx []traffic.Example,
-	rounds, weight int,
-	opts dote.TrainOptions,
-	mine func(m *dote.Model, round int) (x []float64, ratio float64, ok bool),
-) ([]IterativeResult, error) {
-	if rounds < 1 {
-		return nil, fmt.Errorf("robust: rounds must be >= 1")
-	}
-	if weight < 1 {
-		weight = 1
-	}
-	augmented := append([]traffic.Example{}, trainEx...)
-	var out []IterativeResult
-	for round := 0; round < rounds; round++ {
-		x, ratio, ok := mine(m, round)
-		if !ok {
-			break
-		}
-		advEx := ExamplesFromInputs(m, [][]float64{x})
-		for i := 0; i < weight; i++ {
-			augmented = append(augmented, advEx...)
-		}
-		if _, err := dote.Train(m, augmented, opts); err != nil {
-			return nil, err
-		}
-		stats, err := dote.Evaluate(m, testEx)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, IterativeResult{Round: round, FoundRatio: ratio, TestMean: stats.MeanRatio})
-	}
-	return out, nil
-}
-
 // Harden retrains the model on its original training set augmented with the
 // adversarial inputs (repeated `weight` times so that a handful of
 // adversarial points is not drowned out), then reports before/after

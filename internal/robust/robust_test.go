@@ -114,44 +114,6 @@ func TestHardenReducesAdversarialGap(t *testing.T) {
 	}
 }
 
-func TestIterativeHarden(t *testing.T) {
-	m, trainEx, testEx, tg := setup(t)
-	opts := dote.DefaultTrainOptions()
-	opts.Epochs = 6
-	opts.LR = 2e-3
-	mine := func(model *dote.Model, round int) ([]float64, float64, bool) {
-		cfg := core.DefaultGradientConfig()
-		cfg.Iters = 100
-		cfg.Restarts = 1
-		cfg.Seed = uint64(500 + round)
-		res, err := core.GradientSearch(tg, cfg)
-		if err != nil || !res.Found {
-			return nil, 0, false
-		}
-		return res.BestX, res.BestRatio, true
-	}
-	rounds, err := IterativeHarden(m, trainEx, testEx, 2, 5, opts, mine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rounds) == 0 {
-		t.Skip("analyzer found nothing on this tiny model")
-	}
-	for i, r := range rounds {
-		if r.Round != i || r.FoundRatio < 1 || r.TestMean < 1-1e-6 {
-			t.Fatalf("bad round record: %+v", r)
-		}
-	}
-}
-
-func TestIterativeHardenValidation(t *testing.T) {
-	m, trainEx, testEx, _ := setup(t)
-	_, err := IterativeHarden(m, trainEx, testEx, 0, 1, dote.DefaultTrainOptions(), nil)
-	if err == nil {
-		t.Fatal("accepted zero rounds")
-	}
-}
-
 func TestHardenValidation(t *testing.T) {
 	m, trainEx, testEx, _ := setup(t)
 	if _, err := Harden(m, trainEx, testEx, nil, 1, dote.DefaultTrainOptions()); err == nil {

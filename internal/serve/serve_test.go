@@ -5,9 +5,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strings"
@@ -19,17 +21,12 @@ import (
 	"repro/internal/core"
 )
 
-// recordStage is a trivially differentiable identity-sum pipeline stage that
-// records every ObserveTrueEval fan-out — the serve-level stand-in for a
-// surrogate learner riding the shared EvalCache's observation hook.
-type recordStage struct {
-	mu    sync.Mutex
-	calls int
-}
+// sumStage is a trivially differentiable identity-sum pipeline stage.
+type sumStage struct{}
 
-func (o *recordStage) Name() string { return "record" }
+func (sumStage) Name() string { return "sum" }
 
-func (o *recordStage) Forward(x []float64) []float64 {
+func (sumStage) Forward(x []float64) []float64 {
 	s := 0.0
 	for _, v := range x {
 		s += v
@@ -37,7 +34,7 @@ func (o *recordStage) Forward(x []float64) []float64 {
 	return []float64{s}
 }
 
-func (o *recordStage) VJP(x, ybar []float64) []float64 {
+func (sumStage) VJP(x, ybar []float64) []float64 {
 	g := make([]float64, len(x))
 	for i := range g {
 		g[i] = ybar[0]
@@ -45,47 +42,56 @@ func (o *recordStage) VJP(x, ybar []float64) []float64 {
 	return g
 }
 
-func (o *recordStage) ObserveTrueEval(x []float64, ratio, sys, opt float64) {
-	o.mu.Lock()
-	o.calls++
-	o.mu.Unlock()
+// sinesStage is the differentiable multi-modal stage Σ sin(3x_i + i).
+type sinesStage struct{}
+
+func (sinesStage) Name() string { return "sines" }
+
+func (sinesStage) Forward(x []float64) []float64 {
+	s := 5.0
+	for i, v := range x {
+		s += math.Sin(3*v + float64(i))
+	}
+	return []float64{s}
 }
 
-func (o *recordStage) count() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.calls
+func (sinesStage) VJP(x, ybar []float64) []float64 {
+	g := make([]float64, len(x))
+	for i, v := range x {
+		g[i] = ybar[0] * 3 * math.Cos(3*v+float64(i))
+	}
+	return g
 }
+
+// keyedQuantum is the cache key step of keyed fleets (Config.CacheQuantum).
+const keyedQuantum = 1e-3
 
 // syntheticFleet is a TargetBuilder seam: every job gets a fresh cheap
-// target whose observer stage is retrievable by job label, with optional
-// per-label hooks called on each true evaluation (for channel-forced
-// schedules).
+// target, with optional per-label hooks called on each true evaluation (for
+// channel-forced schedules). A plain fleet's target is an identity-sum
+// pipeline scored by its own output. A keyed fleet's is a sinesStage
+// pipeline scored at the point rounded to keyedQuantum, so every point of
+// one cache bucket scores identically and a shared-cache hit returns
+// exactly what the job would have computed.
 type syntheticFleet struct {
-	mu     sync.Mutex
-	stages map[string]*recordStage
-	hooks  map[string]func(call int)
+	mu    sync.Mutex
+	hooks map[string]func(call int)
+	keyed bool
 }
 
 func newSyntheticFleet() *syntheticFleet {
-	return &syntheticFleet{
-		stages: make(map[string]*recordStage),
-		hooks:  make(map[string]func(int)),
-	}
-}
-
-func (f *syntheticFleet) stage(label string) *recordStage {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stages[label]
+	return &syntheticFleet{hooks: make(map[string]func(int))}
 }
 
 func (f *syntheticFleet) build(spec *JobSpec) (*core.AttackTarget, string, error) {
-	stage := &recordStage{}
 	f.mu.Lock()
-	f.stages[spec.Label] = stage
 	hook := f.hooks[spec.Label]
+	keyed := f.keyed
 	f.mu.Unlock()
+	var stage core.Component = sumStage{}
+	if keyed {
+		stage = sinesStage{}
+	}
 	p := core.NewPipeline(stage)
 	var calls atomic.Int64
 	return &core.AttackTarget{
@@ -96,6 +102,13 @@ func (f *syntheticFleet) build(spec *JobSpec) (*core.AttackTarget, string, error
 			n := calls.Add(1)
 			if hook != nil {
 				hook(int(n))
+			}
+			if keyed {
+				q := make([]float64, len(x))
+				for i, v := range x {
+					q[i] = math.Round(v/keyedQuantum) * keyedQuantum
+				}
+				x = q
 			}
 			sys := p.EvalScalar(x)
 			return sys, sys, 1, nil
@@ -282,14 +295,69 @@ func TestCancelMidSearchReturnsBestSoFar(t *testing.T) {
 	}
 }
 
-// TestConcurrentJobsSharedCacheObserversStayAttached is the daemon-level
-// acceptance for the observer-clobbering fix: two jobs on the same
-// checkpoint digest share one memo cache; job A starts and finishes strictly
-// inside job B's lifetime (B is channel-held mid-search); B's observer stage
-// must see EVERY fresh insert of the whole window — including those after A
-// finished and detached its own fan-out.
-func TestConcurrentJobsSharedCacheObserversStayAttached(t *testing.T) {
-	fleet := newSyntheticFleet()
+// jobResult runs spec to completion on c and returns its search result.
+func jobResult(t *testing.T, c *Client, spec JobSpec) *core.SearchResult {
+	t.Helper()
+	ctx := context.Background()
+	view, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return finishedResult(t, c, view.ID)
+}
+
+// finishedResult waits for job id to finish and returns its search result.
+func finishedResult(t *testing.T, c *Client, id string) *core.SearchResult {
+	t.Helper()
+	ctx := context.Background()
+	if last, err := c.Stream(ctx, id, nil); err != nil || last.Type != "done" {
+		t.Fatalf("job %s ended %q err=%v", id, last.Type, err)
+	}
+	final, err := c.Get(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.ReadResultJSON(bytes.NewReader(final.Result))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestConcurrentJobsSharedCacheMatchAlone is the daemon-level contract of
+// the per-digest memo cache: two jobs on the same checkpoint digest share
+// one cache, job A starts and finishes strictly inside job B's lifetime (B
+// is channel-held inside its 30th oracle call), and each job returns the
+// best_ratio and best_x it returns when run alone on a fresh daemon.
+func TestConcurrentJobsSharedCacheMatchAlone(t *testing.T) {
+	specB := JobSpec{
+		Label:          "B",
+		CheckpointPath: "shared-ckpt", // same digest as A: one shared cache
+		Budget: Budget{
+			Iters: 400, Restarts: 1, EvalEvery: 1, Patience: -1, Seed: 7,
+		},
+	}
+	specA := JobSpec{
+		Label:          "A",
+		CheckpointPath: "shared-ckpt",
+		// B's seed and restart count: A scores B's first 25 points, which B
+		// cached before its gate (a longer A would wait on B's held call).
+		Budget: Budget{
+			Iters: 25, Restarts: 1, EvalEvery: 1, Patience: -1, Seed: 7,
+		},
+	}
+	keyedFleet := func() *syntheticFleet {
+		f := newSyntheticFleet()
+		f.keyed = true
+		return f
+	}
+	alone := func(spec JobSpec) *core.SearchResult {
+		_, c := testServer(t, keyedFleet(), Config{CacheQuantum: keyedQuantum})
+		return jobResult(t, c, spec)
+	}
+	wantA, wantB := alone(specA), alone(specB)
+
+	fleet := keyedFleet()
 	bMid := make(chan struct{})
 	aDone := make(chan struct{})
 	var gate sync.Once
@@ -301,17 +369,8 @@ func TestConcurrentJobsSharedCacheObserversStayAttached(t *testing.T) {
 			})
 		}
 	}
-	s, c := testServer(t, fleet, Config{JobConcurrency: 2})
-	ctx := context.Background()
-
-	specB := JobSpec{
-		Label:          "B",
-		CheckpointPath: "shared-ckpt", // same digest as A: one shared cache
-		Budget: Budget{
-			Iters: 400, Restarts: 1, EvalEvery: 1, Patience: -1, Seed: 7,
-		},
-	}
-	viewB, err := c.Submit(ctx, specB)
+	s, c := testServer(t, fleet, Config{JobConcurrency: 2, CacheQuantum: keyedQuantum})
+	viewB, err := c.Submit(context.Background(), specB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,49 +379,29 @@ func TestConcurrentJobsSharedCacheObserversStayAttached(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("job B never reached its gate")
 	}
-
-	viewA, err := c.Submit(ctx, JobSpec{
-		Label:          "A",
-		CheckpointPath: "shared-ckpt",
-		Budget: Budget{
-			Iters: 60, Restarts: 2, EvalEvery: 1, Patience: -1, Seed: 1301,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastA, err := c.Stream(ctx, viewA.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lastA.Type != "done" {
-		t.Fatalf("job A ended %q", lastA.Type)
-	}
+	gotA := jobResult(t, c, specA)
 	close(aDone)
-	if last, err := c.Stream(ctx, viewB.ID, nil); err != nil || last.Type != "done" {
-		t.Fatalf("job B ended %q err=%v", last.Type, err)
-	}
+	gotB := finishedResult(t, c, viewB.ID)
 
-	cache := s.sharedCache(&specB)
 	s.mu.Lock()
 	nCaches := len(s.caches)
 	s.mu.Unlock()
 	if nCaches != 1 {
 		t.Fatalf("expected one shared cache for one digest, got %d", nCaches)
 	}
-	st := cache.Stats()
-	inserts := int(st.Entries + st.Evictions)
-	if inserts == 0 {
-		t.Fatal("test exercised no cache inserts")
+	if st := s.sharedCache(&specB).Stats(); st.Hits == 0 {
+		t.Fatal("test exercised no cache hits")
 	}
-	if got := fleet.stage("A").count(); got == 0 {
-		t.Fatal("job A's observer saw no true evaluations")
-	}
-	// B attached before any insert (it ran first, A was only submitted once
-	// B was mid-search) and stayed attached past A's completion, so it must
-	// have observed every fresh insert exactly once.
-	if got := fleet.stage("B").count(); got != inserts {
-		t.Fatalf("job B's observer saw %d of %d fresh inserts — a finishing job detached a concurrent job's fan-out", got, inserts)
+	for _, job := range []struct {
+		name      string
+		got, want *core.SearchResult
+	}{{"A", gotA, wantA}, {"B", gotB, wantB}} {
+		if !job.got.Found || job.got.BestRatio != job.want.BestRatio {
+			t.Fatalf("job %s: best_ratio %v (found %v), alone %v", job.name, job.got.BestRatio, job.got.Found, job.want.BestRatio)
+		}
+		if !reflect.DeepEqual(job.got.BestX, job.want.BestX) {
+			t.Fatalf("job %s: best_x %v, alone %v", job.name, job.got.BestX, job.want.BestX)
+		}
 	}
 }
 

@@ -245,61 +245,6 @@ func MaxTotalFlow(ps *paths.PathSet, tm TrafficMatrix) (float64, error) {
 	return sol.Objective, nil
 }
 
-// MaxConcurrentFlow solves max z such that z·tm is fully routable within
-// capacities (the maximum concurrent flow objective of §4). z > 1 means the
-// network has headroom; z < 1 means tm is not fully routable.
-func MaxConcurrentFlow(ps *paths.PathSet, tm TrafficMatrix) (float64, error) {
-	g := ps.Graph
-	off, total := ps.Offsets()
-	p := lp.NewProblem()
-	z := p.AddVariable("z", 0, math.Inf(1))
-	fs := make([]lp.VarID, total)
-	anyDemand := false
-	for i, pp := range ps.PairPaths {
-		if tm[i] == 0 || len(pp) == 0 {
-			continue
-		}
-		anyDemand = true
-		eq := lp.NewExpr()
-		for k := range pp {
-			fs[off[i]+k] = p.AddVariable("", 0, math.Inf(1))
-			eq.Add(1, fs[off[i]+k])
-		}
-		eq.Add(-tm[i], z)
-		p.AddConstraint("", eq, lp.EQ, 0)
-	}
-	if !anyDemand {
-		return math.Inf(1), nil
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		expr := lp.NewExpr()
-		any := false
-		for i, pp := range ps.PairPaths {
-			if tm[i] == 0 {
-				continue
-			}
-			for k, path := range pp {
-				for _, eid := range path.Edges {
-					if eid == e {
-						expr.Add(1, fs[off[i]+k])
-						any = true
-						break
-					}
-				}
-			}
-		}
-		if any {
-			p.AddConstraint("", expr, lp.LE, g.Edge(e).Capacity)
-		}
-	}
-	p.SetObjective(lp.Maximize, lp.NewExpr().Add(1, z))
-	sol := p.Solve()
-	if sol.Status != lp.StatusOptimal {
-		return 0, &StatusError{Op: "max concurrent flow", Status: sol.Status}
-	}
-	return sol.Objective, nil
-}
-
 // DeliveredFlow returns the total traffic actually delivered when routing
 // tm with splits s under proportional shedding: flow on a path is scaled by
 // 1/max(1, u_max) where u_max is the largest utilization along the path.

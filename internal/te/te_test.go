@@ -284,55 +284,6 @@ func TestMaxTotalFlow(t *testing.T) {
 	}
 }
 
-func TestMaxConcurrentFlow(t *testing.T) {
-	ps := trianglePS()
-	tm := figure3TM(ps)
-	z, err := MaxConcurrentFlow(ps, tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(z-1) > 1e-5 {
-		t.Fatalf("concurrent flow = %v, want 1", z)
-	}
-	z2, err := MaxConcurrentFlow(ps, tm.Clone().Scale(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(z2-0.5) > 1e-5 {
-		t.Fatalf("concurrent flow at 2x = %v, want 0.5", z2)
-	}
-}
-
-func TestConcurrentFlowInverseOfMLU(t *testing.T) {
-	// For any demand, max concurrent flow z and optimal MLU u satisfy
-	// z = 1/u (both are the same LP up to inversion).
-	ps := abilenePS()
-	f := func(seed uint64) bool {
-		rr := rng.New(seed)
-		tm := make(TrafficMatrix, ps.NumPairs())
-		for i := range tm {
-			if rr.Float64() < 0.3 {
-				tm[i] = rr.Float64() * 3
-			}
-		}
-		if tm.Total() == 0 {
-			return true
-		}
-		u, _, err := OptimalMLU(ps, tm)
-		if err != nil || u == 0 {
-			return err == nil
-		}
-		z, err := MaxConcurrentFlow(ps, tm)
-		if err != nil {
-			return false
-		}
-		return math.Abs(z*u-1) < 1e-4
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPerformanceRatio(t *testing.T) {
 	ps := trianglePS()
 	tm := figure3TM(ps)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -251,12 +250,4 @@ func Parse(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// SortedNodeNames returns node names in sorted order (testing helper).
-func (g *Graph) SortedNodeNames() []string {
-	names := make([]string, len(g.names))
-	copy(names, g.names)
-	sort.Strings(names)
-	return names
 }

@@ -10,7 +10,6 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dote"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -84,49 +83,5 @@ func TestSparseFDPathZeroAllocWhenDisabled(t *testing.T) {
 	// allocation sneaking back into the hot path.
 	if base > 64 {
 		t.Fatalf("sparse FD Grad allocates %v allocs/op; want <= 64 (per-probe allocations crept in)", base)
-	}
-}
-
-// TestSurrogateDisabledGradAllocParity pins the surrogate feature's
-// zero-cost-when-disabled contract: a plain sparse gray-box pipeline (no
-// surrogate anywhere in its stage list) must keep the exact allocs/op it
-// had before the surrogate subsystem existed, even after a surrogate
-// pipeline for the same model has been built and exercised. The surrogate
-// path may only cost something when a SurrogateEstimator is actually in
-// the pipeline.
-func TestSurrogateDisabledGradAllocParity(t *testing.T) {
-	st := benchStates[dote.Curr]
-	st.once.Do(func() {
-		st.s, st.err = experiments.Prepare(experiments.QuickSetup(dote.Curr))
-	})
-	if st.err != nil {
-		t.Fatal(st.err)
-	}
-	s := st.s
-	x := make([]float64, s.Target.InputDim)
-	for i := range x {
-		x[i] = float64(i%7) / 7 * s.Target.MaxDemand
-	}
-
-	plain := s.Model.OpaqueRoutingPipeline().Grayboxed(1e-4)
-	grad := func() { plain.Grad(x) }
-	grad() // warm the evaluator pools
-	base := testing.AllocsPerRun(200, grad)
-
-	// Build and exercise a surrogate pipeline for the same model: feed it
-	// observations and gradients so its learner, pools, and counters are
-	// all live.
-	surPipe, est := s.Model.SurrogateRoutingPipeline(core.DefaultSurrogateGradConfig(33))
-	for i := 0; i < 4; i++ {
-		surPipe.Forward(x)
-		surPipe.Grad(x)
-	}
-	if est.Stats().TrueEvals == 0 {
-		t.Fatal("surrogate pipeline saw no traffic")
-	}
-
-	after := testing.AllocsPerRun(200, grad)
-	if after != base {
-		t.Fatalf("surrogate machinery changed plain sparse Grad allocations: %v allocs/op before, %v after", base, after)
 	}
 }
