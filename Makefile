@@ -39,8 +39,8 @@ bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/lp/ ./internal/ad/
 
 # bench-json archives the core benchmarks (scalar vs batched gradient paths,
-# both search engines, and the Table 1 search with its "ratio" metric) as a
-# machine-readable JSON snapshot.
+# the search under both restart groupings, and the Table 1 search with its
+# "ratio" metric) as a machine-readable JSON snapshot.
 bench-json:
 	$(GO) test -run xxx -benchtime $(BENCHTIME) -benchmem \
 		-bench 'BenchmarkPipelineGrad$$|BenchmarkPipelineBatchGrad|BenchmarkGradSearchEngines|BenchmarkTable1_DOTEHist|BenchmarkIncrementalFDGrad|BenchmarkEvalCacheMemo|BenchmarkAllocAttack' . \

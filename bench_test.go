@@ -442,8 +442,8 @@ func BenchmarkPipelineGrad(b *testing.B) {
 }
 
 // BenchmarkPipelineBatchGrad measures one lock-step batched gradient over R
-// restart rows — the hot path of the batched engine. Compare against R times
-// the BenchmarkPipelineGrad cost for the batching win.
+// restart rows — the hot path of a multi-restart group. Compare against R
+// times the BenchmarkPipelineGrad cost for the batching win.
 func BenchmarkPipelineBatchGrad(b *testing.B) {
 	s := benchSetup(b, dote.Curr)
 	r := rng.New(6)
@@ -462,18 +462,28 @@ func BenchmarkPipelineBatchGrad(b *testing.B) {
 	}
 }
 
+// goExecutor runs every task on its own goroutine, so a search given it
+// runs each restart as a one-restart group.
+type goExecutor struct{}
+
+func (goExecutor) Run(task func()) { go task() }
+
 // BenchmarkGradSearchEngines runs the full gradient search at Restarts ≥ 4
-// under both engines. The batched/scalar ns/op ratio is the PR's headline
-// speedup number; the discovered ratios are identical by construction (the
-// equivalence tests pin this down bitwise). LP ratio-scoring is engine-
-// independent and dominates at the default eval cadence (profile: lp.pivot
-// ≈ 84% of samples), so the ratio is evaluated once at the end here to
-// measure the per-iteration descent–ascent engine itself.
+// under both restart groupings: "scalar" runs one-restart groups on a
+// goroutine Executor (the daemon's shape), "batched" runs all restarts as
+// one lock-step group. The discovered ratios are identical by construction
+// (TestRestartGroupingInvariant pins this down bitwise). LP ratio-scoring
+// does not depend on grouping and dominates at the default eval cadence
+// (profile: lp.pivot ≈ 84% of samples), so the ratio is evaluated once at
+// the end here to measure the per-iteration descent–ascent loop itself.
 func BenchmarkGradSearchEngines(b *testing.B) {
 	s := benchSetup(b, dote.Curr)
 	for _, restarts := range []int{4, 8} {
-		for _, eng := range []core.SearchEngine{core.EngineScalar, core.EngineBatched} {
-			b.Run(fmt.Sprintf("restarts=%d/%s", restarts, eng), func(b *testing.B) {
+		for _, grouping := range []struct {
+			name string
+			exec core.Executor
+		}{{"scalar", goExecutor{}}, {"batched", nil}} {
+			b.Run(fmt.Sprintf("restarts=%d/%s", restarts, grouping.name), func(b *testing.B) {
 				b.ReportAllocs()
 				var last float64
 				for i := 0; i < b.N; i++ {
@@ -481,7 +491,7 @@ func BenchmarkGradSearchEngines(b *testing.B) {
 					cfg.Restarts = restarts
 					cfg.Iters = 60
 					cfg.EvalEvery = cfg.Iters // score once: isolate engine cost
-					cfg.Engine = eng
+					cfg.Executor = grouping.exec
 					res, err := core.GradientSearch(s.Target, cfg)
 					if err != nil {
 						b.Fatal(err)

@@ -224,7 +224,7 @@ func runAblations(setup func(dote.Variant) *experiments.Setup, quick bool) {
 		fmt.Printf("workers=%d: %.0f grads/s\n", pr.Workers, pr.Throughput)
 	}
 	if len(prs) > 0 && prs[0].BatchedThroughput > 0 {
-		fmt.Printf("batched engine (one [32,n] lock-step batch): %.0f grads/s (%.2fx vs 1 worker)\n",
+		fmt.Printf("one restart group (one [32,n] lock-step batch): %.0f grads/s (%.2fx vs 1 worker)\n",
 			prs[0].BatchedThroughput, prs[0].BatchedThroughput/prs[0].Throughput)
 	}
 }

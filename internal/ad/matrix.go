@@ -49,7 +49,7 @@ func MatMul(a, b Value) Value {
 	// Arena storage is zeroed at allocation, so accumulate directly. The
 	// blocked kernel keeps each output row's accumulation order independent
 	// of the batch size, so a [R,k] product agrees bitwise with R separate
-	// [1,k] products — the batched restart engine depends on this.
+	// [1,k] products — restart groups depend on this.
 	linalg.MatMulBlockedAddInto(out.n.data, a.n.data, b.n.data, m, k, p)
 	if out.n.requires {
 		on := out.n

@@ -176,9 +176,9 @@ func (a *AttackTarget) RatioCtx(ctx context.Context, x []float64) (ratio, sys, o
 
 // routingFor returns the incidence and utilization kernels for ps, memoized
 // on the path set (so they are collected with it) and built on first use.
-// The forward/backward closures are built once here, not per constraintMLU
-// call, so the per-iteration hot path records them onto the tape without
-// allocating.
+// The forward/backward closures are built once here, not per
+// constraintMLUBatch call, so the per-iteration hot path records them onto
+// the tape without allocating.
 func routingFor(ps *paths.PathSet) *attackRouting {
 	return ps.Memo(attackRoutingKey{}, func() any { return newAttackRouting(ps) }).(*attackRouting)
 }
@@ -206,7 +206,7 @@ func newAttackRouting(ps *paths.PathSet) *attackRouting {
 	slotPair, slotEdges, caps := r.slotPair, r.slotEdges, r.caps
 	// Row-generalized like dote's utilization kernels: the batch size is
 	// inferred from len(out)/len(caps), and R=1 reproduces the scalar math
-	// exactly (the batched engine depends on per-row equivalence).
+	// exactly (restart groups depend on per-row equivalence).
 	nPairs, nSlots := ps.NumPairs(), total
 	r.mluFwd = func(in [][]float64, out []float64) {
 		dd, ss := in[0], in[1]
@@ -250,35 +250,17 @@ func newAttackRouting(ps *paths.PathSet) *attackRouting {
 	return r
 }
 
-// constraintMLU computes MLU(d, f) of Eq. 3/4 differentiably: fLogits are
-// free variables turned into valid split ratios by a per-pair softmax, the
-// demand is routed with them, and the max utilization is returned with its
-// gradients written into the caller-owned gradD (len(demand)) and gradF
-// (len(fLogits)) buffers. The tape is pooled, so nothing tape-backed
-// escapes; callers hoist the buffers out of their search loops.
-func (a *AttackTarget) constraintMLU(demand, fLogits, gradD, gradF []float64) (mlu float64) {
-	r := routingFor(a.PS)
-	t := ad.GetTape()
-	defer ad.PutTape(t)
-	d := t.Var(demand)
-	fl := t.Var(fLogits)
-	f := ad.SegmentSoftmax(fl, r.offsets, r.lens)
-	util := ad.Custom(t, []ad.Value{d, f}, len(r.caps), 1, r.mluFwd, r.mluBwd)
-	m := ad.Max(util)
-	ad.Backward(m)
-	copy(gradD, d.Grad())
-	copy(gradF, fl.Grad())
-	return m.ScalarValue()
-}
-
-// constraintMLUBatch is the batched constraintMLU used by the batched
-// restart engine: demand is [rows·demandLen] and fLogits [rows·nSlots], both
-// row-major over active restarts. Per-row MLUs land in mlus and the
-// gradients in gradD/gradF (same row-major layouts). ones must be an
-// all-ones seed of length rows (caller-owned, hoisted out of the loop).
-// Row arithmetic is identical to rows separate constraintMLU calls: the
-// per-row softmax segments and the per-row SegmentMax reproduce the scalar
-// segment math and Max's first-attaining subgradient exactly.
+// constraintMLUBatch computes MLU(d, f) of Eq. 3/4 differentiably for each
+// of rows search points: fLogits are free variables turned into valid split
+// ratios by a per-pair softmax, the demand is routed with them, and each
+// row's max utilization lands in mlus with its gradients in gradD/gradF.
+// demand is [rows·demandLen] and fLogits [rows·nSlots], both row-major over
+// the group's active restarts, and the gradients share those layouts. ones
+// must be an all-ones seed of length rows. All buffers are caller-owned and
+// hoisted out of the search loops; the tape is pooled, so nothing
+// tape-backed escapes. Each row's arithmetic does not depend on rows: the
+// per-row softmax segments and the per-row SegmentMax (first-attaining
+// subgradient) are the same for every batch size.
 func (a *AttackTarget) constraintMLUBatch(demand, fLogits []float64, rows int, gradD, gradF, mlus, ones []float64) {
 	r := routingFor(a.PS)
 	t := ad.GetTape()

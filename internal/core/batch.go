@@ -8,16 +8,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Batched evaluation: the batched restart engine runs R search points in
-// lock-step, represented as a row-major [R, n] linalg.Matrix whose row r is
-// point r. Stages that implement the Batch* interfaces process the whole
+// Batched evaluation: a restart group of the gradient search runs its R
+// search points in lock-step, represented as a row-major [R, n]
+// linalg.Matrix whose row r is point r. Stages that implement the Batch* interfaces process the whole
 // batch in one sweep (turning the DNN's work into matrix–matrix kernels);
 // stages that don't are driven row by row, so a mixed pipeline still works.
 //
 // Contract: batched stages must compute each row EXACTLY as the scalar
 // Forward/VJP would — same values bit for bit, independent of the batch
-// size — so a batched search reproduces the scalar trajectory. The blocked
-// linalg kernels and the segment ops preserve this by construction.
+// size — so a restart's trajectory does not depend on its group. The
+// blocked linalg kernels and the segment ops preserve this by construction.
 //
 // Ownership: the input matrix is owned by the caller and is read-only to the
 // stage; the returned matrix is freshly allocated and owned by the caller.
@@ -40,7 +40,7 @@ type BatchDifferentiable interface {
 }
 
 // BatchCapable reports whether every stage batches natively — the condition
-// under which the batched engine beats concurrent scalar restarts.
+// under which a search without an Executor runs all restarts as one group.
 func (p *Pipeline) BatchCapable() bool {
 	for _, s := range p.stages {
 		if _, ok := s.(BatchDifferentiable); !ok {
@@ -110,6 +110,16 @@ type BatchCtxDifferentiable interface {
 func (p *Pipeline) BatchVJPCtx(ctx context.Context, xs, ybars *linalg.Matrix) (*linalg.Matrix, error) {
 	if xs.Rows == 0 {
 		panic("core: BatchVJP on empty batch")
+	}
+	if xs.Rows == 1 {
+		// A one-row batch takes the scalar chain rule, whose stages may
+		// spread a single row over workers (the sparse FD sweep stripes its
+		// probes); by the batch contract the row is bitwise the same.
+		g, err := p.VJPCtx(ctx, xs.Row(0), ybars.Row(0))
+		if err != nil {
+			return nil, err
+		}
+		return &linalg.Matrix{Rows: 1, Cols: len(g), Data: g}, nil
 	}
 	inputs := make([]*linalg.Matrix, len(p.stages))
 	cur := xs

@@ -1,10 +1,9 @@
 package core_test
 
-// Equivalence tests for the batched restart engine: batched stage sweeps
-// must reproduce the scalar chain-rule path exactly, and a batched
-// multi-restart search must discover the same ratios as sequential scalar
-// restarts with the same seeds — including restarts retired early by
-// Patience.
+// Equivalence tests for restart groups: batched stage sweeps must reproduce
+// the scalar chain-rule path exactly, and a search must return the same
+// result whether its restarts run as one-restart groups or as one lock-step
+// group — including restarts retired early by Patience or by a fault.
 
 import (
 	"math"
@@ -86,89 +85,105 @@ func TestBatchVJPGrayboxMatchesScalarRows(t *testing.T) {
 	}
 }
 
-// TestBatchedEngineMatchesScalarEngine is the PR's headline equivalence:
-// batched search with Restarts=4 discovers the same ratios as four
-// sequential scalar restarts with the same seeds, with identical budget
-// counters — including restarts stopped early by Patience.
-func TestBatchedEngineMatchesScalarEngine(t *testing.T) {
+// goExecutor runs every task on its own goroutine: a search given it runs
+// each restart as a one-restart group, concurrently.
+type goExecutor struct{}
+
+func (goExecutor) Run(task func()) { go task() }
+
+// TestRestartGroupingInvariant is the engine's grouping contract: a search
+// whose restarts run as one-restart groups on an Executor and the same
+// search run as one lock-step group of R rows take identical per-restart
+// trajectories, so they return bitwise the same result and budget counters
+// — with restarts retired early by Patience and one retired by an injected
+// mid-run fault. The score is a pure function of the iterate (the system
+// MLU times a ripple in the total demand, which stalls along an ascent so
+// Patience fires), so the comparison is bitwise end to end.
+func TestRestartGroupingInvariant(t *testing.T) {
 	m := trainedTriangleModel(t)
 	tg := target(m)
-
-	base := core.DefaultGradientConfig()
-	base.Iters = 100
-	base.Restarts = 4
-	base.EvalEvery = 5
-	base.Patience = 2 // aggressive so at least one restart retires early
-	base.Workers = 1  // sequential scalar restarts: deterministic improve order
-
-	scalarCfg := base
-	scalarCfg.Engine = core.EngineScalar
-	scalarRes, err := core.GradientSearch(tg, scalarCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	batchedCfg := base
-	batchedCfg.Engine = core.EngineBatched
-	batchedRes, err := core.GradientSearch(tg, batchedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !scalarRes.Found || !batchedRes.Found {
-		t.Fatalf("found: scalar %v, batched %v", scalarRes.Found, batchedRes.Found)
-	}
-	if math.Abs(scalarRes.BestRatio-batchedRes.BestRatio) > 1e-9 {
-		t.Fatalf("BestRatio: scalar %.15f, batched %.15f", scalarRes.BestRatio, batchedRes.BestRatio)
-	}
-	if math.Abs(scalarRes.BestSysMLU-batchedRes.BestSysMLU) > 1e-9 ||
-		math.Abs(scalarRes.BestOptMLU-batchedRes.BestOptMLU) > 1e-9 {
-		t.Fatalf("MLU decomposition differs: scalar (%v,%v), batched (%v,%v)",
-			scalarRes.BestSysMLU, scalarRes.BestOptMLU, batchedRes.BestSysMLU, batchedRes.BestOptMLU)
-	}
-	for i := range scalarRes.BestX {
-		if math.Abs(scalarRes.BestX[i]-batchedRes.BestX[i]) > 1e-9 {
-			t.Fatalf("BestX[%d]: scalar %v, batched %v", i, scalarRes.BestX[i], batchedRes.BestX[i])
+	tg.RatioOverride = func(x []float64) (float64, float64, float64, error) {
+		sys := tg.Pipeline.EvalScalar(x)
+		total := 0.0
+		for _, v := range x {
+			total += v
 		}
+		return sys * (2 + math.Sin(total)), sys, 1, nil
 	}
-	// Identical trajectories spend identical budgets.
-	if scalarRes.Evals != batchedRes.Evals ||
-		scalarRes.GradEvals != batchedRes.GradEvals ||
-		scalarRes.LPEvals != batchedRes.LPEvals {
-		t.Fatalf("budget counters: scalar (%d,%d,%d), batched (%d,%d,%d)",
-			scalarRes.Evals, scalarRes.GradEvals, scalarRes.LPEvals,
-			batchedRes.Evals, batchedRes.GradEvals, batchedRes.LPEvals)
-	}
-	// The Patience path must actually have been exercised: with early
-	// stopping, at least one restart retires before Iters runs out.
-	if scalarRes.GradEvals >= base.Restarts*base.Iters {
-		t.Fatalf("no restart retired early (GradEvals=%d); Patience path untested", scalarRes.GradEvals)
-	}
-	// Both reported inputs reproduce their ratios (the repo-wide invariant).
-	ratio, _, _, err := tg.Ratio(batchedRes.BestX)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ratio-batchedRes.BestRatio) > 1e-9 {
-		t.Fatalf("batched BestX reproduces %v, reported %v", ratio, batchedRes.BestRatio)
-	}
-}
 
-// TestEngineAutoSelection: auto uses the batched engine only when it can —
-// Restarts == 1 must fall back to the scalar path (and still work).
-func TestEngineAutoSelection(t *testing.T) {
-	m := trainedTriangleModel(t)
-	tg := target(m)
-	cfg := core.DefaultGradientConfig()
-	cfg.Iters = 30
-	cfg.Restarts = 1
-	cfg.EvalEvery = 10
-	cfg.Engine = core.EngineBatched // forced, but nothing to batch
-	res, err := core.GradientSearch(tg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found {
-		t.Fatal("single-restart fallback found nothing")
+	for _, restarts := range []int{4, 8} {
+		run := func(exec core.Executor) (*core.SearchResult, *recordingInjector) {
+			cfg := core.DefaultGradientConfig()
+			cfg.Iters = 60
+			cfg.Restarts = restarts
+			cfg.EvalEvery = 3
+			cfg.Patience = 2   // aggressive so some restarts retire early
+			cfg.Momentum = 0.9 // velocity rows are per-restart state too
+			cfg.Seed = 13
+			cfg.Executor = exec
+			ri := newRecordingInjector(1, 9)
+			cfg.FaultInjector = ri.hook
+			res, err := core.GradientSearch(tg, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, ri
+		}
+		single, singleTraj := run(goExecutor{})
+		group, groupTraj := run(nil)
+
+		if !single.Found || !group.Found {
+			t.Fatalf("R=%d found: singleton groups %v, one group %v", restarts, single.Found, group.Found)
+		}
+		if single.BestRatio != group.BestRatio || single.BestSysMLU != group.BestSysMLU || single.BestOptMLU != group.BestOptMLU {
+			t.Fatalf("R=%d best: singleton groups (%v,%v,%v), one group (%v,%v,%v)", restarts,
+				single.BestRatio, single.BestSysMLU, single.BestOptMLU, group.BestRatio, group.BestSysMLU, group.BestOptMLU)
+		}
+		for i := range single.BestX {
+			if single.BestX[i] != group.BestX[i] {
+				t.Fatalf("R=%d BestX[%d]: singleton groups %v, one group %v", restarts, i, single.BestX[i], group.BestX[i])
+			}
+		}
+		if single.Evals != group.Evals || single.GradEvals != group.GradEvals || single.LPEvals != group.LPEvals {
+			t.Fatalf("R=%d budget counters: singleton groups (%d,%d,%d), one group (%d,%d,%d)", restarts,
+				single.Evals, single.GradEvals, single.LPEvals, group.Evals, group.GradEvals, group.LPEvals)
+		}
+		if len(single.Trace) != len(group.Trace) {
+			t.Fatalf("R=%d trace lengths: %d vs %d", restarts, len(single.Trace), len(group.Trace))
+		}
+		for i := range single.Trace {
+			if single.Trace[i].Iter != group.Trace[i].Iter || single.Trace[i].Ratio != group.Trace[i].Ratio {
+				t.Fatalf("R=%d trace[%d]: (%d, %v) vs (%d, %v)", restarts, i,
+					single.Trace[i].Iter, single.Trace[i].Ratio, group.Trace[i].Iter, group.Trace[i].Ratio)
+			}
+		}
+		patience := 0
+		for r := 0; r < restarts; r++ {
+			a, b := single.Restarts[r], group.Restarts[r]
+			if a.Stop != b.Stop || a.Iters != b.Iters || a.BestRatio != b.BestRatio {
+				t.Fatalf("R=%d restart %d: singleton groups %+v, one group %+v", restarts, r, a, b)
+			}
+			if a.Stop == core.StopPatience {
+				patience++
+			}
+			want, got := groupTraj.traj[r], singleTraj.traj[r]
+			if len(want) != len(got) {
+				t.Fatalf("R=%d restart %d: %d iterations vs %d", restarts, r, len(got), len(want))
+			}
+			for it := range want {
+				for i := range want[it] {
+					if want[it][i] != got[it][i] {
+						t.Fatalf("R=%d restart %d iter %d coord %d: %v != %v", restarts, r, it, i, got[it][i], want[it][i])
+					}
+				}
+			}
+		}
+		// Both retirement paths must actually have been exercised.
+		if f := group.Restarts[1]; f.Stop != core.StopFaulted || f.Fault == nil || f.Fault.Iter != 9 {
+			t.Fatalf("R=%d restart 1 = %+v, want faulted at iter 9", restarts, f)
+		}
+		if patience == 0 {
+			t.Fatalf("R=%d: no restart retired by Patience; that path is untested", restarts)
+		}
 	}
 }

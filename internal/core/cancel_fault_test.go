@@ -1,6 +1,6 @@
 package core_test
 
-// Cancellation and fault-isolation tests for the gradient-search engines:
+// Cancellation and fault-isolation tests for the gradient-search engine:
 // the failure-semantics contract says a cancelled or partially faulted
 // search still returns a well-formed best-so-far result, retires only the
 // affected restarts, and leaks nothing. Run with -race.
@@ -33,8 +33,8 @@ func settleGoroutines(before int) int {
 	}
 }
 
-// TestCancelBatchedSearchMidFlight cancels a Restarts=8 batched search
-// mid-flight and checks the acceptance contract: prompt return, StopReason
+// TestCancelBatchedSearchMidFlight cancels a Restarts=8 search running as
+// one lock-step group mid-flight and checks the acceptance contract: prompt return, StopReason
 // cancelled, a valid best-so-far result, and zero leaked goroutines.
 func TestCancelBatchedSearchMidFlight(t *testing.T) {
 	m := trainedTriangleModel(t)
@@ -45,7 +45,6 @@ func TestCancelBatchedSearchMidFlight(t *testing.T) {
 	cfg.Restarts = 8
 	cfg.EvalEvery = 1
 	cfg.Patience = 0
-	cfg.Engine = core.EngineBatched
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -94,7 +93,8 @@ func TestCancelBatchedSearchMidFlight(t *testing.T) {
 	}
 }
 
-// TestCancelScalarSearchMidFlight is the scalar-engine counterpart.
+// TestCancelScalarSearchMidFlight is the counterpart with one-restart
+// groups on an Executor.
 func TestCancelScalarSearchMidFlight(t *testing.T) {
 	m := trainedTriangleModel(t)
 	tg := target(m)
@@ -104,7 +104,7 @@ func TestCancelScalarSearchMidFlight(t *testing.T) {
 	cfg.Restarts = 4
 	cfg.EvalEvery = 1
 	cfg.Patience = 0
-	cfg.Engine = core.EngineScalar
+	cfg.Executor = goExecutor{}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -195,9 +195,9 @@ func deterministicScore(tg *core.AttackTarget) *core.AttackTarget {
 	return &t2
 }
 
-// runWithInjector runs one search with the given engine and injector and
-// returns the result.
-func runWithInjector(t *testing.T, tg *core.AttackTarget, engine core.SearchEngine, ri *recordingInjector) *core.SearchResult {
+// runWithInjector runs one search with the given executor (nil: one group
+// of all restarts) and injector and returns the result.
+func runWithInjector(t *testing.T, tg *core.AttackTarget, exec core.Executor, ri *recordingInjector) *core.SearchResult {
 	t.Helper()
 	cfg := core.DefaultGradientConfig()
 	cfg.Iters = 24
@@ -205,7 +205,7 @@ func runWithInjector(t *testing.T, tg *core.AttackTarget, engine core.SearchEngi
 	cfg.Workers = 1 // deterministic eval order
 	cfg.EvalEvery = 4
 	cfg.Patience = 0
-	cfg.Engine = engine
+	cfg.Executor = exec
 	cfg.FaultInjector = ri.hook
 	res, err := core.GradientSearchContext(context.Background(), tg, cfg)
 	if err != nil {
@@ -214,21 +214,28 @@ func runWithInjector(t *testing.T, tg *core.AttackTarget, engine core.SearchEngi
 	return res
 }
 
+// groupings names the two restart groupings: "scalar" runs one-restart
+// groups on an Executor, "batched" runs one lock-step group.
+var groupings = []struct {
+	name string
+	exec core.Executor
+}{{"scalar", goExecutor{}}, {"batched", nil}}
+
 // TestFaultIsolationBitwiseTrajectories is the fault-injection matrix of the
-// determinism contract: faulting restart 0 (scalar) and row 0 (batched) must
-// leave every surviving restart's trajectory bitwise identical to the same
-// engine's unfaulted run.
+// determinism contract: faulting restart 0, in its own group or in a shared
+// one, must leave every surviving restart's trajectory bitwise identical to
+// the same grouping's unfaulted run.
 func TestFaultIsolationBitwiseTrajectories(t *testing.T) {
 	m := trainedTriangleModel(t)
 	tg := deterministicScore(target(m))
 
-	for _, engine := range []core.SearchEngine{core.EngineScalar, core.EngineBatched} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, g := range groupings {
+		t.Run(g.name, func(t *testing.T) {
 			clean := newRecordingInjector(-1, 0)
-			resClean := runWithInjector(t, tg, engine, clean)
+			resClean := runWithInjector(t, tg, g.exec, clean)
 
 			faulted := newRecordingInjector(0, 7)
-			resFault := runWithInjector(t, tg, engine, faulted)
+			resFault := runWithInjector(t, tg, g.exec, faulted)
 
 			if faulted.faultCount != 1 {
 				t.Fatalf("injected %d faults, want 1", faulted.faultCount)
@@ -278,17 +285,17 @@ func TestFaultIsolationBitwiseTrajectories(t *testing.T) {
 	}
 }
 
-// TestFaultScalarBatchedAgree cross-checks the two engines against each
-// other under the same injected fault: the per-row determinism contract of
-// PR2 must also hold when a restart is retired mid-search.
+// TestFaultScalarBatchedAgree cross-checks one-restart groups against one
+// lock-step group under the same injected fault: the per-row determinism
+// contract must also hold when a restart is retired mid-search.
 func TestFaultScalarBatchedAgree(t *testing.T) {
 	m := trainedTriangleModel(t)
 	tg := deterministicScore(target(m))
 
 	scalar := newRecordingInjector(0, 7)
 	batched := newRecordingInjector(0, 7)
-	resS := runWithInjector(t, tg, core.EngineScalar, scalar)
-	resB := runWithInjector(t, tg, core.EngineBatched, batched)
+	resS := runWithInjector(t, tg, goExecutor{}, scalar)
+	resB := runWithInjector(t, tg, nil, batched)
 
 	for r := 0; r < 4; r++ {
 		ws, wb := scalar.traj[r], batched.traj[r]
@@ -365,7 +372,7 @@ func TestFaultComponentPanicContained(t *testing.T) {
 	cfg.Restarts = 4
 	cfg.EvalEvery = 5
 	cfg.Patience = 0
-	cfg.Engine = core.EngineScalar
+	cfg.Executor = goExecutor{}
 	cfg.FaultInjector = func(restart, iter int, x []float64) error {
 		if restart == 2 && iter == 3 {
 			poisoned.Store(restart, true)
@@ -399,6 +406,51 @@ func TestFaultComponentPanicContained(t *testing.T) {
 	}
 	if !res.Found {
 		t.Fatal("surviving restarts found nothing")
+	}
+}
+
+// TestFaultRatioEvalPanicContained: an oracle that panics (a RatioOverride
+// here) is a component fault like any other. Each restart it hits retires
+// with Stage "ratio-eval" and the search returns a well-formed result,
+// whether the restarts run as one-restart groups on an Executor (the
+// daemon's shape, where an escaped panic would kill the process) or as one
+// lock-step group.
+func TestFaultRatioEvalPanicContained(t *testing.T) {
+	m := trainedTriangleModel(t)
+	tg := target(m)
+	tg.RatioOverride = func(x []float64) (float64, float64, float64, error) {
+		panic("oracle blew up")
+	}
+	for _, g := range groupings {
+		t.Run(g.name, func(t *testing.T) {
+			cfg := core.DefaultGradientConfig()
+			cfg.Iters = 20
+			cfg.Restarts = 3
+			cfg.EvalEvery = 5
+			cfg.Executor = g.exec
+			res, err := core.GradientSearchContext(context.Background(), tg, cfg)
+			if err != nil {
+				t.Fatalf("search returned error %v, want a result", err)
+			}
+			if res.StopReason != core.StopFaulted || res.Found {
+				t.Fatalf("StopReason = %v, Found = %v; want faulted with nothing found", res.StopReason, res.Found)
+			}
+			if res.FaultCount != cfg.Restarts {
+				t.Fatalf("FaultCount = %d, want one per restart (%d)", res.FaultCount, cfg.Restarts)
+			}
+			for _, o := range res.Restarts {
+				f := o.Fault
+				if o.Stop != core.StopFaulted || f == nil || f.Stage != "ratio-eval" || f.Restart != o.Restart || f.Iter != 4 {
+					t.Fatalf("restart %d: Stop %v fault %+v, want faulted at stage ratio-eval, iter 4", o.Restart, o.Stop, f)
+				}
+				if !strings.Contains(f.Error(), "oracle blew up") {
+					t.Fatalf("fault message %q lost the panic value", f.Error())
+				}
+				if o.Iters != 5 {
+					t.Fatalf("restart %d ran %d iterations, want 5 (retired at the first scoring)", o.Restart, o.Iters)
+				}
+			}
+		})
 	}
 }
 

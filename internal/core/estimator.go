@@ -119,9 +119,9 @@ func (f *fdComponent) BatchForward(xs *linalg.Matrix) *linalg.Matrix {
 
 // BatchVJP implements BatchDifferentiable: rows are independent FD
 // estimates, and within each row the ±h probes are packed into probe
-// batches evaluated through the same batched engine. Each coordinate's
-// estimate uses exactly the scalar path's arithmetic, so batched and scalar
-// VJPs agree bitwise.
+// batches evaluated through the inner stage's batched forward. Each
+// coordinate's estimate uses exactly the scalar path's arithmetic, so
+// batched and scalar VJPs agree bitwise.
 func (f *fdComponent) BatchVJP(xs, ybars *linalg.Matrix) *linalg.Matrix {
 	g, _ := f.BatchVJPCtx(context.Background(), xs, ybars)
 	return g
@@ -296,7 +296,7 @@ func (s *spsaComponent) BatchVJP(xs, ybars *linalg.Matrix) *linalg.Matrix {
 
 // BatchVJPCtx implements BatchCtxDifferentiable. Rows run sequentially (the
 // RNG is shared state), but each row's 2·samples probe points are packed
-// into one batch and evaluated through the batched engine. The ± deltas for
+// into one batch and evaluated through the batched forward. The ± deltas for
 // a row are drawn in the same order as the scalar VJP draws them, so a
 // batched row matches a scalar call made at the same point in the RNG
 // stream. Cancellation is observed between rows (each row costs 2·samples

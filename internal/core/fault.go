@@ -76,15 +76,15 @@ func ctxStopReason(err error) StopReason {
 // ComponentError is a contained failure of one pipeline stage or solver
 // during the search: a recovered panic (ad shape mismatch, linalg dimension
 // panic) or a structured error (non-optimal LP status) that retired a single
-// restart — or, for Restart == -1, faulted a whole batched sweep that cannot
-// be attributed to one row.
+// restart — or, for Restart == -1, faulted the shared stages of a
+// multi-restart group, which cannot be attributed to one row.
 type ComponentError struct {
 	// Restart is the restart index the fault was attributed to (-1 when the
-	// fault hit a shared batched stage covering all active restarts).
+	// fault hit a shared stage of a multi-restart group).
 	Restart int
 	// Iter is the outer iteration at which the fault occurred.
 	Iter int
-	// Stage names the component boundary that faulted (e.g. "pipeline-grad",
+	// Stage names the component boundary that faulted (e.g. "pipeline-vjp",
 	// "constraint-mlu", "ratio-eval", "fault-injector").
 	Stage string
 	// Err is the underlying error; recovered panics are wrapped so the

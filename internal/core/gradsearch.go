@@ -37,34 +37,6 @@ func (m ObjectiveMode) String() string {
 	return "lagrangian"
 }
 
-// SearchEngine selects how the restarts of GradientSearch are executed.
-type SearchEngine int
-
-const (
-	// EngineAuto picks the batched engine when Restarts > 1 and every
-	// pipeline stage batches natively (BatchCapable), else the scalar one.
-	EngineAuto SearchEngine = iota
-	// EngineScalar runs each restart as its own goroutine over the scalar
-	// chain-rule path.
-	EngineScalar
-	// EngineBatched runs all active restarts in lock-step as one [R, n]
-	// batch, turning the DNN sweeps into matrix–matrix kernels. Both engines
-	// follow bitwise-identical per-restart trajectories. With Restarts == 1
-	// the scalar path is used regardless (there is nothing to batch).
-	EngineBatched
-)
-
-func (e SearchEngine) String() string {
-	switch e {
-	case EngineScalar:
-		return "scalar"
-	case EngineBatched:
-		return "batched"
-	default:
-		return "auto"
-	}
-}
-
 // GradientConfig are the hyper-parameters of Eq. 5.
 type GradientConfig struct {
 	// Iters is the number of outer iterations per restart.
@@ -79,7 +51,9 @@ type GradientConfig struct {
 	LambdaInit float64
 	// Restarts is the number of random restarts; they run in parallel.
 	Restarts int
-	// Workers caps restart parallelism (0 = Restarts).
+	// Workers caps restart parallelism (0 = Restarts): the number of
+	// concurrent one-restart groups, or of true-ratio scorers when all
+	// restarts advance as one group (see GradientSearchContext).
 	Workers int
 	// EvalEvery controls how often (in outer iterations) the true ratio is
 	// scored with the LP.
@@ -101,8 +75,6 @@ type GradientConfig struct {
 	// MLU(d, f) = c (Eq. 3 uses c = 1; "Other TE Objectives" sweeps it to
 	// realize {d | OPT(d, f) = P}). Zero means 1.
 	ConstraintTarget float64
-	// Engine selects the restart execution strategy (see SearchEngine).
-	Engine SearchEngine
 	// EvalCache, when non-nil, memoizes true-ratio scoring (hash of the
 	// quantized input → ratio/sys/opt) across restarts and searches, so
 	// lock-step batches and near-converged restarts stop re-solving the
@@ -110,11 +82,12 @@ type GradientConfig struct {
 	// counted in Evals/LPEvals. Nil disables memoization.
 	EvalCache *EvalCache
 	// Obs, when non-nil, receives search telemetry: per-stage pipeline
-	// timings (see Pipeline.Instrument), per-restart step/reject/fault
-	// counters ("search.restart.<r>.steps" etc.), LP solve latency and
-	// warm-start counters from the traffic-engineering solver, and the
-	// search-level improvement count. The registry's snapshot is attached to
-	// the result as SearchResult.Telemetry. Nil keeps every hot path on its
+	// timings (see Pipeline.Instrument), the step/reject/fault counters
+	// summed over restarts ("search.steps" etc.; per-restart detail is in
+	// SearchResult.Restarts), LP solve latency and warm-start counters from
+	// the traffic-engineering solver, and the search-level improvement
+	// count. The registry's snapshot is attached to the result as
+	// SearchResult.Telemetry. Nil keeps every hot path on its
 	// allocation-free uninstrumented branch.
 	Obs *obs.Registry
 	// FaultInjector, when non-nil, is invoked at the top of every outer
@@ -125,15 +98,15 @@ type GradientConfig struct {
 	// both to fault restart k at step j deterministically and to observe
 	// per-restart trajectories; it must not mutate x.
 	FaultInjector func(restart, iter int, x []float64) error
-	// Executor, when non-nil, receives one task per restart instead of the
-	// search spawning its own bounded worker goroutines — the analyzer
-	// daemon's work-stealing pool rides this to interleave restarts from
-	// many concurrent searches over one set of machine cores. Run must
-	// execute the task exactly once (on any goroutine, at any later time);
-	// the search blocks until all its tasks complete. An Executor implies
-	// the scalar engine (each restart is an independent work item), whose
-	// per-restart trajectories are bitwise identical regardless of
-	// scheduling, and makes Workers moot: parallelism is the pool's.
+	// Executor, when non-nil, receives one task per restart (a one-restart
+	// group) instead of the search spawning its own bounded worker
+	// goroutines — the analyzer daemon's work-stealing pool rides this to
+	// interleave restarts from many concurrent searches over one set of
+	// machine cores. Run must execute the task exactly once (on any
+	// goroutine, at any later time); the search blocks until all its tasks
+	// complete. Per-restart trajectories do not depend on grouping or
+	// scheduling, so the result is bitwise the same as without an Executor;
+	// Workers is moot: parallelism is the pool's.
 	Executor Executor
 	// OnImprove, when non-nil, is invoked after every global best-ratio
 	// improvement with the new best and the time since the search started.
@@ -227,38 +200,34 @@ func (r *SearchResult) String() string {
 // that restart.
 const maxConsecutiveEvalFaults = 3
 
-// searchObs holds the search engines' pre-resolved counter handles: registry
-// lookups happen once per search, never inside the iteration loops. Built
-// from a nil registry every handle is nil, and the nil-receiver no-op
-// contract of the obs package makes every increment free.
+// searchObs holds the engine's pre-resolved counter handles: registry
+// lookups happen once per search, never inside the iteration loops. The
+// names are per search, not per restart, so a registry shared by many
+// searches (the daemon's) holds a bounded set of series whatever restart
+// counts its requests ask for; per-restart detail is in
+// SearchResult.Restarts. Built from a nil registry every handle is nil, and
+// the nil-receiver no-op contract of the obs package makes every increment
+// free.
 type searchObs struct {
-	// steps/rejects/faults are indexed by restart number.
-	steps, rejects, faults []*obs.Counter
-	// batchFaults counts faults in shared batched stages (Restart == -1),
-	// which cannot be attributed to one row.
-	batchFaults *obs.Counter
+	// steps counts completed outer iterations, rejects scoring steps
+	// rejected by an evaluation error, and faults contained failures
+	// (including shared-stage faults with Restart == -1).
+	steps, rejects, faults *obs.Counter
 	// improvements counts global best-ratio improvements.
 	improvements *obs.Counter
 }
 
-func newSearchObs(reg *obs.Registry, restarts int) *searchObs {
-	so := &searchObs{
-		steps:   make([]*obs.Counter, restarts),
-		rejects: make([]*obs.Counter, restarts),
-		faults:  make([]*obs.Counter, restarts),
-	}
+func newSearchObs(reg *obs.Registry) searchObs {
 	if reg == nil {
 		// All handles stay nil; every increment is a nil-receiver no-op.
-		return so
+		return searchObs{}
 	}
-	so.batchFaults = reg.Counter("search.fault.batch")
-	so.improvements = reg.Counter("search.improvements")
-	for r := 0; r < restarts; r++ {
-		so.steps[r] = reg.Counter(fmt.Sprintf("search.restart.%d.steps", r))
-		so.rejects[r] = reg.Counter(fmt.Sprintf("search.restart.%d.rejects", r))
-		so.faults[r] = reg.Counter(fmt.Sprintf("search.restart.%d.faults", r))
+	return searchObs{
+		steps:        reg.Counter("search.steps"),
+		rejects:      reg.Counter("search.rejects"),
+		faults:       reg.Counter("search.faults"),
+		improvements: reg.Counter("search.improvements"),
 	}
-	return so
 }
 
 // GradientSearch runs the paper's gray-box analyzer: multi-step gradient
@@ -275,6 +244,15 @@ func GradientSearch(target *AttackTarget, cfg GradientConfig) (*SearchResult, er
 // cancelled or deadline — not an error. Component panics and LP failures are
 // contained per restart (see ComponentError); the returned error is non-nil
 // only for invalid targets or configurations.
+//
+// The restarts are split into restart groups, each a set of restarts that
+// advance in lock-step as one [rows, n] batch (see runGroup). The grouping
+// follows from the inputs alone: with an Executor every restart is its own
+// group and one pool task; without one, a pipeline whose every stage
+// batches natively (Pipeline.BatchCapable) runs all restarts as one group,
+// so the DNN sweeps become matrix–matrix kernels; any other pipeline runs
+// one-restart groups on at most Workers goroutines. A restart's trajectory
+// does not depend on its group, so neither does the result.
 func GradientSearchContext(ctx context.Context, target *AttackTarget, cfg GradientConfig) (*SearchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -304,7 +282,6 @@ func GradientSearchContext(ctx context.Context, target *AttackTarget, cfg Gradie
 	// duration of the search, restoring the uninstrumented fast paths on the
 	// way out. LP counters are cumulative across searches sharing a path
 	// set, so the search publishes its own delta.
-	so := newSearchObs(cfg.Obs, cfg.Restarts)
 	var lpBefore lp.SolverStatsSnapshot
 	var cacheBefore EvalCacheStats
 	if cfg.Obs != nil {
@@ -320,92 +297,35 @@ func GradientSearchContext(ctx context.Context, target *AttackTarget, cfg Gradie
 		}
 	}
 
-	start := time.Now()
 	res := &SearchResult{Method: "gradient-based (" + cfg.Mode.String() + ")"}
-	var mu sync.Mutex
-	// Improvements are logged per restart and folded into Best*/Trace only
-	// after the restarts join (foldImprovements), so the result does not
-	// depend on the order concurrent restarts happen to report in. Only the
-	// live OnImprove stream follows arrival order.
-	logs := make([]restartLog, cfg.Restarts)
-	liveBest := 0.0
-	improve := func(restart int, ratio, sys, opt float64, x []float64, iter int) {
-		at := time.Since(start)
-		mu.Lock()
-		defer mu.Unlock()
-		logs[restart].record(improvement{
-			restart: restart, iter: iter, ratio: ratio, sys: sys, opt: opt, at: at,
-		}, x)
-		if ratio > liveBest {
-			liveBest = ratio
-			if cfg.OnImprove != nil {
-				cfg.OnImprove(ratio, sys, opt, iter, at)
-			}
+	s := newSearchRun(ctx, target, cfg, res)
+	if cfg.Executor == nil && target.Pipeline.BatchCapable() {
+		all := make([]int, cfg.Restarts)
+		for r := range all {
+			all[r] = r
 		}
-	}
-	count := func(evals, grads, lps int) {
-		mu.Lock()
-		res.Evals += evals
-		res.GradEvals += grads
-		res.LPEvals += lps
-		mu.Unlock()
-	}
-	recordFault := func(ce *ComponentError) {
-		mu.Lock()
-		res.FaultCount++
-		if len(res.Faults) < maxRecordedFaults {
-			res.Faults = append(res.Faults, ce)
-		}
-		mu.Unlock()
-		if ce.Restart >= 0 && ce.Restart < len(so.faults) {
-			so.faults[ce.Restart].Inc()
-		} else {
-			so.batchFaults.Inc()
-		}
-	}
-
-	// Engine dispatch: the batched engine wins when the DNN sweeps dominate
-	// and every stage batches natively; the scalar engine keeps per-restart
-	// goroutine parallelism and is the only option for Restarts == 1. An
-	// external Executor forces the scalar engine — restarts must be
-	// independent work items a pool can interleave with other searches, and
-	// the engines' bitwise trajectory contract keeps the results identical.
-	useBatched := cfg.Restarts > 1 && cfg.Executor == nil &&
-		(cfg.Engine == EngineBatched ||
-			(cfg.Engine == EngineAuto && target.Pipeline.BatchCapable()))
-	if useBatched {
-		res.Restarts = runBatchedRestarts(ctx, target, cfg, workers, improve, count, recordFault, so)
+		s.runGroup(all, workers)
 	} else {
-		outcomes := make([]RestartOutcome, cfg.Restarts)
+		exec := cfg.Executor
+		if exec == nil {
+			exec = make(boundedExecutor, workers)
+		}
 		var wg sync.WaitGroup
-		if cfg.Executor != nil {
-			// Restart parallelism belongs to the external pool: submit every
-			// restart as one work item and wait for the pool to drain them.
-			for restart := 0; restart < cfg.Restarts; restart++ {
-				restart := restart
-				wg.Add(1)
-				cfg.Executor.Run(func() {
-					defer wg.Done()
-					outcomes[restart] = runRestart(ctx, target, cfg, restart, improve, count, recordFault, so)
-				})
-			}
-		} else {
-			sem := make(chan struct{}, workers)
-			for restart := 0; restart < cfg.Restarts; restart++ {
-				wg.Add(1)
-				go func(restart int) {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					outcomes[restart] = runRestart(ctx, target, cfg, restart, improve, count, recordFault, so)
-				}(restart)
-			}
+		wg.Add(cfg.Restarts)
+		for r := 0; r < cfg.Restarts; r++ {
+			exec.Run(func() {
+				defer wg.Done()
+				s.runGroup([]int{r}, 1)
+			})
 		}
 		wg.Wait()
-		res.Restarts = outcomes
 	}
-	res.Elapsed = time.Since(start)
-	res.foldImprovements(logs, so.improvements)
+	for r := range s.outcomes {
+		s.outcomes[r].BestRatio = s.bestLocal[r]
+	}
+	res.Restarts = s.outcomes
+	res.Elapsed = time.Since(s.start)
+	res.foldImprovements(s.logs, s.so.improvements)
 	res.StopReason = aggregateStop(ctx, res.Restarts)
 	if cfg.Obs != nil {
 		if target.PS != nil {
@@ -429,6 +349,19 @@ func GradientSearchContext(ctx context.Context, target *AttackTarget, cfg Gradie
 		res.Telemetry = cfg.Obs.Snapshot()
 	}
 	return res, nil
+}
+
+// boundedExecutor runs each task on its own goroutine, at most cap(sem) at
+// a time.
+type boundedExecutor chan struct{}
+
+// Run implements Executor.
+func (sem boundedExecutor) Run(task func()) {
+	go func() {
+		sem <- struct{}{}
+		defer func() { <-sem }()
+		task()
+	}()
 }
 
 // improvement is one restart's new local-best ratio.
@@ -522,392 +455,275 @@ func evalCtxErr(ctx context.Context, err error) error {
 	return nil
 }
 
-// runRestart executes one trajectory of Eq. 5. It never propagates panics or
-// component errors: each outer iteration's compute runs under a recover()
-// boundary, and a fault retires only this restart (recorded in the outcome).
-func runRestart(ctx context.Context, target *AttackTarget, cfg GradientConfig, restart int,
-	improve func(restart int, ratio, sys, opt float64, x []float64, iter int),
-	count func(evals, grads, lps int),
-	recordFault func(*ComponentError),
-	so *searchObs,
-) (out RestartOutcome) {
-	out = RestartOutcome{Restart: restart, Stop: StopConverged}
-	r := rng.New(cfg.Seed + uint64(restart)*0x9e3779b97f4a7c15)
-	n := target.InputDim
-	nSlots := 0
-	if target.PS != nil {
-		nSlots = len(routingFor(target.PS).slotPair)
-	}
+// searchRun is one GradientSearch in flight. Per-restart state is stored
+// by row: row r of every matrix and element r of every slice belong to
+// restart r for the whole search. A restart group reads and writes only its
+// own rows, so groups run concurrently without locking; the result tallies
+// and the improvement logs are shared and take mu.
+type searchRun struct {
+	ctx    context.Context
+	target *AttackTarget
+	cfg    GradientConfig
+	so     searchObs
+	start  time.Time
+
+	x        *linalg.Matrix // [R, n] iterates
+	fLog     *linalg.Matrix // [R, nSlots] split logits of Eq. 4's f
+	velocity *linalg.Matrix // [R, n] momentum; nil without Momentum
+	lambda   []float64
+	mus      [][]float64 // per-restart input-constraint multipliers
+	// active masks the restarts still running; retired rows keep their
+	// storage and are simply not gathered into the batch.
+	active            []bool
+	bestLocal         []float64
+	stale, evalFaults []int
+	outcomes          []RestartOutcome
+
+	mu       sync.Mutex
+	res      *SearchResult
+	logs     []restartLog
+	liveBest float64
+}
+
+// newSearchRun initializes every restart's row. Restart r draws its start
+// from its own RNG stream, Seed + r·golden, so a start does not depend on
+// which group or goroutine runs it. Mixing dense and sparse starts
+// diversifies restarts: sparse starts match the adversarial demand shape of
+// Figure 5.
+func newSearchRun(ctx context.Context, target *AttackTarget, cfg GradientConfig, res *SearchResult) *searchRun {
 	if target.PS == nil {
 		// Non-TE target: no routing substrate, so no feasibility term.
 		cfg.Mode = DirectAscent
 	}
-
-	// Initialize the search point inside the box. Mixing dense and sparse
-	// starts diversifies restarts: sparse starts match the adversarial
-	// demand shape of Figure 5.
-	x := make([]float64, n)
-	if restart%2 == 0 {
-		for i := range x {
-			x[i] = r.Float64() * target.MaxDemand * 0.5
-		}
-	} else {
-		for i := range x {
-			if r.Float64() < 0.15 {
-				x[i] = r.Float64() * target.MaxDemand
-			}
-		}
-	}
-	fLogits := make([]float64, nSlots)
-	lambda := cfg.LambdaInit
-	cTarget := cfg.ConstraintTarget
-	if cTarget == 0 {
-		cTarget = 1
-	}
-	mus := make([]float64, len(cfg.Constraints))
-	var velocity []float64
-	if cfg.Momentum > 0 {
-		velocity = make([]float64, n)
-	}
-
-	// Step sizes are relative to the demand scale so that alpha=0.01 moves
-	// demands by ~1% of the box per step, matching the paper's convention.
-	stepD := cfg.AlphaD * target.MaxDemand
-	stepF := cfg.AlphaF
-	stepL := cfg.AlphaL
-
-	demS, demE := target.DemandStart, target.DemandStart+target.DemandLen
-
-	// Per-restart scratch for the constraint gradients, reused across
-	// iterations (constraintMLU writes into these).
-	gD := make([]float64, demE-demS)
-	gF := make([]float64, len(fLogits))
-
-	bestLocal := 0.0
-	stale := 0
-	evalFaults := 0
-	evals, grads, lps := 0, 0, 0
-	defer func() {
-		out.BestRatio = bestLocal
-		count(evals, grads, lps)
-	}()
-
-	for iter := 0; iter < cfg.Iters; iter++ {
-		if err := ctx.Err(); err != nil {
-			out.Stop = ctxStopReason(err)
-			return out
-		}
-		var cMLU float64
-		var ctxErr error
-		stage := "fault-injector"
-		cerr := contained(restart, iter, &stage, func() {
-			if cfg.FaultInjector != nil {
-				if err := cfg.FaultInjector(restart, iter, x); err != nil {
-					panic(err)
-				}
-			}
-			for inner := 0; inner < cfg.T; inner++ {
-				// Gradient of the system's MLU with respect to the full input,
-				// assembled stage by stage via the chain rule.
-				stage = "pipeline-grad"
-				g, err := target.Pipeline.GradCtx(ctx, x)
-				if err != nil {
-					ctxErr = err
-					return
-				}
-				gNorm := normalizeInPlace(g)
-				grads++
-
-				if cfg.Mode == Lagrangian {
-					stage = "constraint-mlu"
-					cMLU = target.constraintMLU(x[demS:demE], fLogits, gD, gF)
-					// Ascend d on  M_adv + λ·(MLU(d,f)−1).
-					dNorm := normalizeInPlace(gD)
-					for i := demS; i < demE; i++ {
-						gNorm[i] += lambda * dNorm[i-demS]
-					}
-					// Ascend f on  λ·MLU(d,f).
-					fNorm := normalizeInPlace(gF)
-					for i := range fLogits {
-						fLogits[i] += stepF * lambda * fNorm[i]
-					}
-				}
-				if len(cfg.Constraints) > 0 {
-					stage = "input-constraints"
-					applyConstraints(cfg.Constraints, mus, x, gNorm, stepL)
-				}
-				stage = "ascent-step"
-				if velocity != nil {
-					for i := range velocity {
-						velocity[i] = cfg.Momentum*velocity[i] + gNorm[i]
-					}
-					gNorm = velocity
-				}
-				for i := range x {
-					x[i] += stepD * gNorm[i]
-					if x[i] < 0 {
-						x[i] = 0
-					}
-					if x[i] > target.MaxDemand {
-						x[i] = target.MaxDemand
-					}
-				}
-			}
-		})
-		if ctxErr != nil {
-			out.Stop = ctxStopReason(ctxErr)
-			return out
-		}
-		if cerr != nil {
-			recordFault(cerr)
-			out.Stop = StopFaulted
-			out.Fault = cerr
-			return out
-		}
-		if cfg.Mode == Lagrangian {
-			// Descend λ on the constraint violation (outer minimization).
-			lambda -= stepL * (cMLU - cTarget)
-		}
-		out.Iters = iter + 1
-		so.steps[restart].Inc()
-
-		if (iter+1)%cfg.EvalEvery == 0 || iter == cfg.Iters-1 {
-			ratio, sys, opt, cached, err := target.ratioCachedCtx(ctx, cfg.EvalCache, x)
-			if !cached {
-				evals++
-				lps++
-			}
-			if err != nil {
-				if ce := evalCtxErr(ctx, err); ce != nil {
-					out.Stop = ctxStopReason(ce)
-					return out
-				}
-				// A non-optimal LP status (or any other eval failure)
-				// mid-search rejects this scoring step instead of propagating
-				// a garbage MLU into the search: the trajectory continues from
-				// the same iterate, and only persistent failure retires the
-				// restart.
-				fault := &ComponentError{Restart: restart, Iter: iter, Stage: "ratio-eval", Err: err}
-				recordFault(fault)
-				so.rejects[restart].Inc()
-				evalFaults++
-				if evalFaults >= maxConsecutiveEvalFaults {
-					out.Stop = StopFaulted
-					out.Fault = fault
-					return out
-				}
-				stale++
-				if cfg.Patience > 0 && stale >= cfg.Patience {
-					out.Stop = StopPatience
-					return out
-				}
-				continue
-			}
-			evalFaults = 0
-			if ratio > bestLocal {
-				bestLocal = ratio
-				stale = 0
-				improve(restart, ratio, sys, opt, x, iter)
-			} else {
-				stale++
-				if cfg.Patience > 0 && stale >= cfg.Patience {
-					out.Stop = StopPatience
-					return out
-				}
-			}
-		}
-	}
-	return out
-}
-
-// runBatchedRestarts executes every restart's Eq. 5 trajectory in lock-step:
-// one [A, n] batch of the A still-active restarts per inner step, so the
-// pipeline sweep and the constraint term run as single batched tape builds
-// instead of A scalar ones. Each restart's arithmetic — initialization,
-// normalization, multiplier updates, eval cadence, Patience — replicates
-// runRestart exactly, and the batched stages guarantee per-row values match
-// the scalar path bitwise, so both engines discover identical ratios.
-//
-// Patience and fault containment retire restarts individually via an
-// active-set mask: retired rows are simply not gathered into the batch,
-// while the [R, n] state storage keeps its shape (no reallocation
-// mid-search). Per-row work (fault injection, gradient post-processing,
-// ratio evaluation) runs under per-row recover() boundaries, so a panic in
-// one restart's row retires only that row; because per-row arithmetic is
-// independent of the batch size, the surviving rows' trajectories are
-// bitwise unchanged. A panic inside a shared batched stage cannot be
-// attributed to one row and retires every active restart (ComponentError
-// with Restart == -1) — still returning the best-so-far result rather than
-// crashing.
-func runBatchedRestarts(ctx context.Context, target *AttackTarget, cfg GradientConfig, workers int,
-	improve func(restart int, ratio, sys, opt float64, x []float64, iter int),
-	count func(evals, grads, lps int),
-	recordFault func(*ComponentError),
-	so *searchObs,
-) []RestartOutcome {
-	n := target.InputDim
-	R := cfg.Restarts
+	R, n := cfg.Restarts, target.InputDim
 	nSlots := 0
 	if target.PS != nil {
 		nSlots = len(routingFor(target.PS).slotPair)
 	}
-	if target.PS == nil {
-		cfg.Mode = DirectAscent
+	s := &searchRun{
+		ctx: ctx, target: target, cfg: cfg, so: newSearchObs(cfg.Obs), start: time.Now(),
+		x:          linalg.NewMatrix(R, n),
+		fLog:       linalg.NewMatrix(R, nSlots),
+		lambda:     make([]float64, R),
+		mus:        make([][]float64, R),
+		active:     make([]bool, R),
+		bestLocal:  make([]float64, R),
+		stale:      make([]int, R),
+		evalFaults: make([]int, R),
+		outcomes:   make([]RestartOutcome, R),
+		res:        res,
+		logs:       make([]restartLog, R),
 	}
-
-	// Per-restart state, row r belongs to restart r for the whole search.
-	// Initialization replays runRestart's RNG streams verbatim.
-	X := linalg.NewMatrix(R, n)
-	for restart := 0; restart < R; restart++ {
-		r := rng.New(cfg.Seed + uint64(restart)*0x9e3779b97f4a7c15)
-		x := X.Row(restart)
-		if restart%2 == 0 {
+	if cfg.Momentum > 0 {
+		s.velocity = linalg.NewMatrix(R, n)
+	}
+	for r := 0; r < R; r++ {
+		rg := rng.New(cfg.Seed + uint64(r)*0x9e3779b97f4a7c15)
+		x := s.x.Row(r)
+		if r%2 == 0 {
 			for i := range x {
-				x[i] = r.Float64() * target.MaxDemand * 0.5
+				x[i] = rg.Float64() * target.MaxDemand * 0.5
 			}
 		} else {
 			for i := range x {
-				if r.Float64() < 0.15 {
-					x[i] = r.Float64() * target.MaxDemand
+				if rg.Float64() < 0.15 {
+					x[i] = rg.Float64() * target.MaxDemand
 				}
 			}
 		}
+		s.lambda[r] = cfg.LambdaInit
+		s.mus[r] = make([]float64, len(cfg.Constraints))
+		s.active[r] = true
+		s.outcomes[r] = RestartOutcome{Restart: r, Stop: StopConverged}
 	}
-	fLog := linalg.NewMatrix(R, nSlots)
-	lambda := make([]float64, R)
-	for r := range lambda {
-		lambda[r] = cfg.LambdaInit
+	return s
+}
+
+// improve logs restart r's new local best, the point at its current row.
+// Improvements are folded into Best*/Trace only after the groups join
+// (foldImprovements), so the result does not depend on the order concurrent
+// groups report in; only the live OnImprove stream follows arrival order.
+func (s *searchRun) improve(r, iter int, ratio, sys, opt float64) {
+	at := time.Since(s.start)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.logs[r].record(improvement{restart: r, iter: iter, ratio: ratio, sys: sys, opt: opt, at: at}, s.x.Row(r))
+	if ratio > s.liveBest {
+		s.liveBest = ratio
+		if s.cfg.OnImprove != nil {
+			s.cfg.OnImprove(ratio, sys, opt, iter, at)
+		}
+	}
+}
+
+// count adds a group's evaluation tallies to the result.
+func (s *searchRun) count(evals, grads, lps int) {
+	s.mu.Lock()
+	s.res.Evals += evals
+	s.res.GradEvals += grads
+	s.res.LPEvals += lps
+	s.mu.Unlock()
+}
+
+// recordFault adds a contained failure to the result.
+func (s *searchRun) recordFault(ce *ComponentError) {
+	s.mu.Lock()
+	s.res.FaultCount++
+	if len(s.res.Faults) < maxRecordedFaults {
+		s.res.Faults = append(s.res.Faults, ce)
+	}
+	s.mu.Unlock()
+	s.so.faults.Inc()
+}
+
+// retire stops restart r for reason.
+func (s *searchRun) retire(r int, reason StopReason, fault *ComponentError) {
+	s.active[r] = false
+	s.outcomes[r].Stop = reason
+	s.outcomes[r].Fault = fault
+}
+
+// evalResult is one row's true-ratio scoring.
+type evalResult struct {
+	ratio, sys, opt float64
+	cached          bool
+	err             error
+	fault           *ComponentError
+}
+
+// score evaluates restart r's true ratio into er, under the row's own
+// recover() boundary so an oracle panic faults only that row. Retired rows
+// are skipped.
+func (s *searchRun) score(r, iter int, er *evalResult) {
+	if !s.active[r] {
+		return
+	}
+	*er = evalResult{}
+	stage := "ratio-eval"
+	er.fault = contained(r, iter, &stage, func() {
+		er.ratio, er.sys, er.opt, er.cached, er.err = s.target.ratioCachedCtx(s.ctx, s.cfg.EvalCache, s.x.Row(r))
+	})
+}
+
+// runGroup executes the Eq. 5 trajectories of the restarts in rows in
+// lock-step: one [A, n] batch of the A still-active rows per inner step, so
+// the pipeline sweep and the constraint term each run once per step for the
+// whole group. Every row's arithmetic — normalization, multiplier updates,
+// eval cadence, Patience — is its own, and the batched stages compute each
+// row bitwise as a one-row batch would, so a restart's trajectory does not
+// depend on its group.
+//
+// Patience and fault containment retire rows individually via the active
+// mask. Per-row work (fault injection, gradient post-processing, ratio
+// evaluation) runs under per-row recover() boundaries, so a panic in one
+// row retires only that row. A panic inside a shared stage retires every
+// active row of the group; it is attributed to the row of a one-row group
+// and to Restart == -1 otherwise. Either way the search returns its
+// best-so-far result rather than crashing. True-ratio scoring fans out
+// over up to workers goroutines; a one-row group scores inline.
+func (s *searchRun) runGroup(rows []int, workers int) {
+	ctx, target, cfg := s.ctx, s.target, s.cfg
+	n, nSlots := s.x.Cols, s.fLog.Cols
+	G := len(rows)
+	owner := -1
+	if G == 1 {
+		owner = rows[0]
 	}
 	cTarget := cfg.ConstraintTarget
 	if cTarget == 0 {
 		cTarget = 1
 	}
-	mus := make([][]float64, R)
-	for r := range mus {
-		mus[r] = make([]float64, len(cfg.Constraints))
-	}
-	var velocity *linalg.Matrix
-	if cfg.Momentum > 0 {
-		velocity = linalg.NewMatrix(R, n)
-	}
-	active := make([]bool, R)
-	bestLocal := make([]float64, R)
-	stale := make([]int, R)
-	evalFaults := make([]int, R)
-	for r := range active {
-		active[r] = true
-	}
-	outcomes := make([]RestartOutcome, R)
-	for r := range outcomes {
-		outcomes[r] = RestartOutcome{Restart: r, Stop: StopConverged}
-	}
-	defer func() {
-		for r := range outcomes {
-			outcomes[r].BestRatio = bestLocal[r]
-		}
-	}()
-	retire := func(r int, reason StopReason, fault *ComponentError) {
-		active[r] = false
-		outcomes[r].Stop = reason
-		outcomes[r].Fault = fault
-	}
-	stopActive := func(reason StopReason) {
-		for r := 0; r < R; r++ {
-			if active[r] {
-				retire(r, reason, nil)
-			}
-		}
-	}
-
+	// Step sizes are relative to the demand scale so that alpha=0.01 moves
+	// demands by ~1% of the box per step, matching the paper's convention.
 	stepD := cfg.AlphaD * target.MaxDemand
 	stepF := cfg.AlphaF
 	stepL := cfg.AlphaL
 	demS, demE := target.DemandStart, target.DemandStart+target.DemandLen
 	demLen := demE - demS
 
-	// Batch scratch, sized for the full R and re-sliced to the active count.
-	Xa := linalg.NewMatrix(R, n)
-	idx := make([]int, 0, R)
-	demB := make([]float64, R*demLen)
-	flB := make([]float64, R*nSlots)
-	gDb := make([]float64, R*demLen)
-	gFb := make([]float64, R*nSlots)
-	cMLU := make([]float64, R)
-	onesSeed := make([]float64, R)
+	// Batch scratch, sized for the whole group and re-sliced to the active
+	// count.
+	xa := linalg.NewMatrix(G, n)
+	idx := make([]int, 0, G)
+	demB := make([]float64, G*demLen)
+	flB := make([]float64, G*nSlots)
+	gDb := make([]float64, G*demLen)
+	gFb := make([]float64, G*nSlots)
+	cMLU := make([]float64, G)
+	onesSeed := make([]float64, G)
 	for i := range onesSeed {
 		onesSeed[i] = 1
 	}
-	type evalResult struct {
-		ratio, sys, opt float64
-		cached          bool
-		err             error
-		fault           *ComponentError
-	}
-	evalRes := make([]evalResult, R)
+	evalRes := make([]evalResult, G)
+	xb := &linalg.Matrix{Cols: n}   // the active rows of xa
+	ones := &linalg.Matrix{Cols: 1} // the active rows' unit cotangents
 
 	evals, grads, lps := 0, 0, 0
-	defer func() { count(evals, grads, lps) }()
+	defer func() { s.count(evals, grads, lps) }()
+	retireActive := func(reason StopReason, fault *ComponentError) {
+		for _, r := range rows {
+			if s.active[r] {
+				s.retire(r, reason, fault)
+			}
+		}
+	}
 
 	for iter := 0; iter < cfg.Iters; iter++ {
 		if err := ctx.Err(); err != nil {
-			stopActive(ctxStopReason(err))
-			return outcomes
+			retireActive(ctxStopReason(err), nil)
+			return
 		}
-		// Deterministic fault injection happens before the batch is gathered,
-		// under a per-row boundary, so a faulted row never enters this
-		// iteration's batch and the surviving rows see the same batch they
-		// would in a run where the faulted restart never existed.
-		if cfg.FaultInjector != nil {
-			for r := 0; r < R; r++ {
-				if !active[r] {
-					continue
-				}
+		// Fault injection happens before the batch is gathered, under the
+		// row's own boundary, so a faulted row never enters this iteration's
+		// batch and the surviving rows see the batch they would see in a run
+		// where the faulted restart never existed.
+		idx = idx[:0]
+		for _, r := range rows {
+			if !s.active[r] {
+				continue
+			}
+			if cfg.FaultInjector != nil {
 				stage := "fault-injector"
-				row := r
-				cerr := contained(row, iter, &stage, func() {
-					if err := cfg.FaultInjector(row, iter, X.Row(row)); err != nil {
+				cerr := contained(r, iter, &stage, func() {
+					if err := cfg.FaultInjector(r, iter, s.x.Row(r)); err != nil {
 						panic(err)
 					}
 				})
 				if cerr != nil {
-					recordFault(cerr)
-					retire(r, StopFaulted, cerr)
+					s.recordFault(cerr)
+					s.retire(r, StopFaulted, cerr)
+					continue
 				}
 			}
-		}
-		idx = idx[:0]
-		for r := 0; r < R; r++ {
-			if active[r] {
-				idx = append(idx, r)
-			}
+			idx = append(idx, r)
 		}
 		A := len(idx)
 		if A == 0 {
 			break
 		}
 		for j, r := range idx {
-			copy(Xa.Row(j), X.Row(r))
+			copy(xa.Row(j), s.x.Row(r))
 		}
-		xa := &linalg.Matrix{Rows: A, Cols: n, Data: Xa.Data[:A*n]}
-		ones := &linalg.Matrix{Rows: A, Cols: 1, Data: onesSeed[:A]}
+		xb.Rows, xb.Data = A, xa.Data[:A*n]
+		ones.Rows, ones.Data = A, onesSeed[:A]
 
 		for inner := 0; inner < cfg.T; inner++ {
-			// Shared batched sweeps: a panic here spans all active rows and
-			// cannot be attributed, so it faults every remaining restart (the
-			// result still carries everything found so far).
-			var G *linalg.Matrix
+			// Shared stages: the gradient of the system's MLU with respect
+			// to the full input, assembled stage by stage via the chain
+			// rule, and the Eq. 4 constraint term.
+			var g *linalg.Matrix
 			var ctxErr error
-			stage := "pipeline-batch-vjp"
-			cerr := contained(-1, iter, &stage, func() {
-				G, ctxErr = target.Pipeline.BatchVJPCtx(ctx, xa, ones)
+			stage := "pipeline-vjp"
+			cerr := contained(owner, iter, &stage, func() {
+				g, ctxErr = target.Pipeline.BatchVJPCtx(ctx, xb, ones)
 				if ctxErr != nil {
 					return
 				}
 				grads += A
 				if cfg.Mode == Lagrangian {
 					for j, r := range idx {
-						copy(demB[j*demLen:(j+1)*demLen], xa.Row(j)[demS:demE])
-						copy(flB[j*nSlots:(j+1)*nSlots], fLog.Row(r))
+						copy(demB[j*demLen:(j+1)*demLen], xb.Row(j)[demS:demE])
+						copy(flB[j*nSlots:(j+1)*nSlots], s.fLog.Row(r))
 					}
 					stage = "constraint-mlu"
 					target.constraintMLUBatch(demB[:A*demLen], flB[:A*nSlots], A,
@@ -915,50 +731,47 @@ func runBatchedRestarts(ctx context.Context, target *AttackTarget, cfg GradientC
 				}
 			})
 			if ctxErr != nil {
-				stopActive(ctxStopReason(ctxErr))
-				return outcomes
+				retireActive(ctxStopReason(ctxErr), nil)
+				return
 			}
 			if cerr != nil {
-				recordFault(cerr)
-				for _, r := range idx {
-					if active[r] {
-						retire(r, StopFaulted, cerr)
-					}
-				}
-				return outcomes
+				s.recordFault(cerr)
+				retireActive(StopFaulted, cerr)
+				return
 			}
 			for j, r := range idx {
-				if !active[r] {
+				if !s.active[r] {
 					continue
 				}
-				jj, rr := j, r
 				stage := "row-update"
-				cerr := contained(rr, iter, &stage, func() {
-					gNorm := normalizeInPlace(G.Row(jj))
+				cerr := contained(r, iter, &stage, func() {
+					gNorm := normalizeInPlace(g.Row(j))
 					if cfg.Mode == Lagrangian {
-						dNorm := normalizeInPlace(gDb[jj*demLen : (jj+1)*demLen])
+						// Ascend d on  M_adv + λ·(MLU(d,f)−1).
+						dNorm := normalizeInPlace(gDb[j*demLen : (j+1)*demLen])
 						for i := demS; i < demE; i++ {
-							gNorm[i] += lambda[rr] * dNorm[i-demS]
+							gNorm[i] += s.lambda[r] * dNorm[i-demS]
 						}
-						fNorm := normalizeInPlace(gFb[jj*nSlots : (jj+1)*nSlots])
-						fl := fLog.Row(rr)
+						// Ascend f on  λ·MLU(d,f).
+						fNorm := normalizeInPlace(gFb[j*nSlots : (j+1)*nSlots])
+						fl := s.fLog.Row(r)
 						for i := range fl {
-							fl[i] += stepF * lambda[rr] * fNorm[i]
+							fl[i] += stepF * s.lambda[r] * fNorm[i]
 						}
 					}
 					if len(cfg.Constraints) > 0 {
 						stage = "input-constraints"
-						applyConstraints(cfg.Constraints, mus[rr], xa.Row(jj), gNorm, stepL)
+						applyConstraints(cfg.Constraints, s.mus[r], xb.Row(j), gNorm, stepL)
 					}
 					stage = "ascent-step"
-					if velocity != nil {
-						v := velocity.Row(rr)
+					if s.velocity != nil {
+						v := s.velocity.Row(r)
 						for i := range v {
 							v[i] = cfg.Momentum*v[i] + gNorm[i]
 						}
 						gNorm = v
 					}
-					x := xa.Row(jj)
+					x := xb.Row(j)
 					for i := range x {
 						x[i] += stepD * gNorm[i]
 						if x[i] < 0 {
@@ -970,113 +783,105 @@ func runBatchedRestarts(ctx context.Context, target *AttackTarget, cfg GradientC
 					}
 				})
 				if cerr != nil {
-					recordFault(cerr)
-					retire(r, StopFaulted, cerr)
+					s.recordFault(cerr)
+					s.retire(r, StopFaulted, cerr)
 				}
 			}
 		}
-		if cfg.Mode == Lagrangian {
-			for j, r := range idx {
-				if !active[r] {
-					continue
-				}
-				lambda[r] -= stepL * (cMLU[j] - cTarget)
-			}
-		}
-		// Rows that faulted mid-iteration keep their pre-iteration state in X
-		// (their partially updated Xa row is discarded).
+		// Descend λ on the constraint violation (outer minimization), then
+		// commit the step. Rows that faulted mid-iteration keep their
+		// pre-iteration state (their partially updated batch row is
+		// discarded).
 		for j, r := range idx {
-			if !active[r] {
+			if !s.active[r] {
 				continue
 			}
-			copy(X.Row(r), xa.Row(j))
-			outcomes[r].Iters = iter + 1
-			so.steps[r].Inc()
+			if cfg.Mode == Lagrangian {
+				s.lambda[r] -= stepL * (cMLU[j] - cTarget)
+			}
+			copy(s.x.Row(r), xb.Row(j))
+			s.outcomes[r].Iters = iter + 1
+			s.so.steps.Inc()
 		}
 
-		if (iter+1)%cfg.EvalEvery == 0 || iter == cfg.Iters-1 {
-			// True-ratio scoring (LP + scalar pipeline eval) is per-restart
-			// work with no batch structure; fan it out across workers. Each
-			// job runs under its own recover() boundary so an eval panic
-			// faults one row, not the pool.
-			w := workers
-			if w > A {
-				w = A
+		if (iter+1)%cfg.EvalEvery != 0 && iter != cfg.Iters-1 {
+			continue
+		}
+		// True-ratio scoring (LP or oracle plus a scalar pipeline eval) is
+		// per-row work with no batch structure.
+		if w := min(workers, A); w <= 1 {
+			for j, r := range idx {
+				s.score(r, iter, &evalRes[j])
 			}
+		} else {
 			var wg sync.WaitGroup
 			jobs := make(chan int)
-			for g := 0; g < w; g++ {
+			for k := 0; k < w; k++ {
 				wg.Add(1)
-				go func() {
+				go func(iter int) {
 					defer wg.Done()
 					for j := range jobs {
-						r := idx[j]
-						if !active[r] {
-							continue
-						}
-						var er evalResult
-						stage := "ratio-eval"
-						er.fault = contained(r, iter, &stage, func() {
-							er.ratio, er.sys, er.opt, er.cached, er.err = target.ratioCachedCtx(ctx, cfg.EvalCache, X.Row(r))
-						})
-						evalRes[j] = er
+						s.score(idx[j], iter, &evalRes[j])
 					}
-				}()
+				}(iter)
 			}
 			for j := range idx {
 				jobs <- j
 			}
 			close(jobs)
 			wg.Wait()
-			for j, r := range idx {
-				if !active[r] {
+		}
+		for j, r := range idx {
+			if !s.active[r] {
+				continue
+			}
+			er := evalRes[j]
+			if !er.cached {
+				evals++
+				lps++
+			}
+			if er.fault != nil {
+				s.recordFault(er.fault)
+				s.retire(r, StopFaulted, er.fault)
+				continue
+			}
+			if er.err != nil {
+				if ce := evalCtxErr(ctx, er.err); ce != nil {
+					retireActive(ctxStopReason(ce), nil)
+					return
+				}
+				// A non-optimal LP status (or any other eval failure)
+				// mid-search rejects this scoring step instead of
+				// propagating a garbage MLU into the search: the trajectory
+				// continues from the same iterate, and only persistent
+				// failure retires the restart.
+				fault := &ComponentError{Restart: r, Iter: iter, Stage: "ratio-eval", Err: er.err}
+				s.recordFault(fault)
+				s.so.rejects.Inc()
+				s.evalFaults[r]++
+				if s.evalFaults[r] >= maxConsecutiveEvalFaults {
+					s.retire(r, StopFaulted, fault)
 					continue
 				}
-				er := evalRes[j]
-				if !er.cached {
-					evals++
-					lps++
+				s.stale[r]++
+				if cfg.Patience > 0 && s.stale[r] >= cfg.Patience {
+					s.retire(r, StopPatience, nil)
 				}
-				if er.fault != nil {
-					recordFault(er.fault)
-					retire(r, StopFaulted, er.fault)
-					continue
-				}
-				if er.err != nil {
-					if ce := evalCtxErr(ctx, er.err); ce != nil {
-						stopActive(ctxStopReason(ce))
-						return outcomes
-					}
-					// Step rejected: same semantics as the scalar engine.
-					fault := &ComponentError{Restart: r, Iter: iter, Stage: "ratio-eval", Err: er.err}
-					recordFault(fault)
-					so.rejects[r].Inc()
-					evalFaults[r]++
-					if evalFaults[r] >= maxConsecutiveEvalFaults {
-						retire(r, StopFaulted, fault)
-						continue
-					}
-					stale[r]++
-					if cfg.Patience > 0 && stale[r] >= cfg.Patience {
-						retire(r, StopPatience, nil)
-					}
-					continue
-				}
-				evalFaults[r] = 0
-				if er.ratio > bestLocal[r] {
-					bestLocal[r] = er.ratio
-					stale[r] = 0
-					improve(r, er.ratio, er.sys, er.opt, X.Row(r), iter)
-				} else {
-					stale[r]++
-					if cfg.Patience > 0 && stale[r] >= cfg.Patience {
-						retire(r, StopPatience, nil)
-					}
+				continue
+			}
+			s.evalFaults[r] = 0
+			if er.ratio > s.bestLocal[r] {
+				s.bestLocal[r] = er.ratio
+				s.stale[r] = 0
+				s.improve(r, iter, er.ratio, er.sys, er.opt)
+			} else {
+				s.stale[r]++
+				if cfg.Patience > 0 && s.stale[r] >= cfg.Patience {
+					s.retire(r, StopPatience, nil)
 				}
 			}
 		}
 	}
-	return outcomes
 }
 
 // normalizeInPlace scales a gradient to unit infinity-norm (sign-preserving)

@@ -111,6 +111,7 @@ func RelativeGradientSearch(t *RelativeTarget, cfg GradientConfig) (*SearchResul
 			g := make([]float64, n)
 			gD := make([]float64, demE-demS)
 			gF := make([]float64, len(fLogits))
+			var cMLU [1]float64
 			for iter := 0; iter < cfg.Iters; iter++ {
 				a := t.SystemA.EvalScalar(x)
 				b := t.SystemB.EvalScalar(x)
@@ -132,7 +133,7 @@ func RelativeGradientSearch(t *RelativeTarget, cfg GradientConfig) (*SearchResul
 					g[i] = ga - gb
 				}
 				gN := normalizeInPlace(g)
-				cMLU := inner.constraintMLU(x[demS:demE], fLogits, gD, gF)
+				inner.constraintMLUBatch(x[demS:demE], fLogits, 1, gD, gF, cMLU[:], scalarSeed)
 				dN := normalizeInPlace(gD)
 				for i := demS; i < demE; i++ {
 					gN[i] += lambda * dN[i-demS]
@@ -150,7 +151,7 @@ func RelativeGradientSearch(t *RelativeTarget, cfg GradientConfig) (*SearchResul
 						x[i] = inner.MaxDemand
 					}
 				}
-				lambda -= cfg.AlphaL * (cMLU - 1)
+				lambda -= cfg.AlphaL * (cMLU[0] - 1)
 
 				if (iter+1)%cfg.EvalEvery == 0 || iter == cfg.Iters-1 {
 					ratio, ra, rb := t.Ratio(x)

@@ -114,7 +114,8 @@ func TestConcurrentSearchesSharedEvalCacheMatchAlone(t *testing.T) {
 	cfgB.EvalEvery = 1
 	cfgB.Patience = 0 // never retire early: B must outlive A
 	cfgB.Seed = 7
-	cfgB.Engine = EngineScalar
+	// The sines stage has no batched VJP, so each restart is its own group
+	// on its own goroutine: holding restart 0 leaves restart 1 running.
 
 	cfgA := cfgB
 	cfgA.Iters = 30

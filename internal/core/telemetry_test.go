@@ -2,8 +2,8 @@ package core_test
 
 // Telemetry integration tests: an instrumented search must populate the
 // registry across every layer it touches (pipeline stages, LP solver,
-// per-restart search counters), attach the snapshot to the result, and
-// round-trip it through the JSON result schema losslessly. An
+// search counters), attach the snapshot to the result, and round-trip it
+// through the JSON result schema losslessly. An
 // uninstrumented search must leave no trace in the output — older result
 // files and new uninstrumented ones stay byte-compatible.
 
@@ -17,14 +17,14 @@ import (
 	"repro/internal/obs"
 )
 
-func searchCfg(engine core.SearchEngine, reg *obs.Registry) core.GradientConfig {
+func searchCfg(exec core.Executor, reg *obs.Registry) core.GradientConfig {
 	cfg := core.DefaultGradientConfig()
 	cfg.Iters = 20
 	cfg.Restarts = 2
 	cfg.EvalEvery = 5
 	cfg.Patience = 0
 	cfg.Seed = 7
-	cfg.Engine = engine
+	cfg.Executor = exec
 	cfg.Obs = reg
 	return cfg
 }
@@ -32,10 +32,10 @@ func searchCfg(engine core.SearchEngine, reg *obs.Registry) core.GradientConfig 
 func TestSearchTelemetryPopulated(t *testing.T) {
 	m := trainedTriangleModel(t)
 	tg := target(m)
-	for _, engine := range []core.SearchEngine{core.EngineScalar, core.EngineBatched} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, g := range groupings {
+		t.Run(g.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			res, err := core.GradientSearch(tg, searchCfg(engine, reg))
+			res, err := core.GradientSearch(tg, searchCfg(g.exec, reg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,22 +44,25 @@ func TestSearchTelemetryPopulated(t *testing.T) {
 			}
 			snap := res.Telemetry
 
-			// Per-restart step counters must account for every completed
-			// outer iteration of every restart.
-			var steps int64
-			for r := 0; r < 2; r++ {
-				key := "search.restart." + string(rune('0'+r)) + ".steps"
-				if snap.Counters[key] == 0 {
-					t.Errorf("counter %s is zero", key)
-				}
-				steps += snap.Counters[key]
-			}
+			// The step counter must account for every completed outer
+			// iteration of every restart, under one name whatever the
+			// restart count: no metric is minted per restart.
 			var iters int64
 			for _, o := range res.Restarts {
 				iters += int64(o.Iters)
 			}
-			if steps != iters {
-				t.Errorf("step counters sum to %d, outcomes report %d iterations", steps, iters)
+			if steps := snap.Counters["search.steps"]; steps != iters || steps == 0 {
+				t.Errorf("search.steps = %d, outcomes report %d iterations", steps, iters)
+			}
+			for _, name := range []string{"search.rejects", "search.faults"} {
+				if _, ok := snap.Counters[name]; !ok {
+					t.Errorf("counter %s missing", name)
+				}
+			}
+			for name := range snap.Counters {
+				if strings.HasPrefix(name, "search.restart.") {
+					t.Errorf("per-restart counter %s in the registry", name)
+				}
 			}
 
 			// LP counters: the ratio evaluations solve optimal-MLU LPs.
@@ -105,7 +108,7 @@ func TestTelemetryJSONRoundTrip(t *testing.T) {
 	m := trainedTriangleModel(t)
 	tg := target(m)
 	reg := obs.NewRegistry()
-	res, err := core.GradientSearch(tg, searchCfg(core.EngineScalar, reg))
+	res, err := core.GradientSearch(tg, searchCfg(goExecutor{}, reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,7 @@ func TestTelemetryJSONRoundTrip(t *testing.T) {
 func TestNoTelemetryNoBlock(t *testing.T) {
 	m := trainedTriangleModel(t)
 	tg := target(m)
-	cfg := searchCfg(core.EngineScalar, nil)
+	cfg := searchCfg(goExecutor{}, nil)
 	res, err := core.GradientSearch(tg, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ var (
 )
 
 // Batched implementations of the four pipeline stages (core.BatchComponent /
-// core.BatchDifferentiable): the batched restart engine hands each stage an
+// core.BatchDifferentiable): a multi-restart group hands each stage an
 // [R, n] matrix whose rows are the active restarts, and the stage processes
 // all rows on ONE tape — the DNN sees a [R, K·P] input so its dense layers
 // become matrix–matrix kernels, and the segment/routing ops use row-shifted

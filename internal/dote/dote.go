@@ -177,7 +177,7 @@ func New(ps *paths.PathSet, cfg Config) *Model {
 	// The utilization kernels are row-generalized: they infer the batch size
 	// from len(out)/len(caps) and route each [demand|splits] row into its own
 	// utilization row, so the same closures serve the scalar pipeline (R=1)
-	// and the batched restart engine. Per-row arithmetic is identical in both
+	// and multi-restart groups. Per-row arithmetic is identical in both
 	// cases, a requirement for batched/scalar trajectory equivalence.
 	nPairs, nSlots := ps.NumPairs(), total
 	m.utilFwd = func(in [][]float64, out []float64) {

@@ -157,10 +157,17 @@ func attackTargetFor(m *Model, p *core.Pipeline) *core.AttackTarget {
 	}
 }
 
+// goExecutor runs every task on its own goroutine: a search given it runs
+// each restart as a one-restart group, as the daemon's pool does.
+type goExecutor struct{}
+
+func (goExecutor) Run(task func()) { go task() }
+
 // TestOpaqueSearchTrajectoryEquivalence pins the sparse FD path (certified
 // support on the fused stage) to the dense full-vector reference: a
 // fixed-seed gradient search takes exactly the same trajectory — identical
-// accepted steps, best point, and eval counts — on both engines. The GÉANT
+// accepted steps, best point, and eval counts — whether the restarts run as
+// one-restart groups on an Executor or as one lock-step group. The GÉANT
 // leg runs the CI-gate budget (iters 50, restarts 1, eval_every 50).
 func TestOpaqueSearchTrajectoryEquivalence(t *testing.T) {
 	legs := []struct {
@@ -173,14 +180,17 @@ func TestOpaqueSearchTrajectoryEquivalence(t *testing.T) {
 	}
 	for _, leg := range legs {
 		m := leg.model()
-		for _, engine := range []core.SearchEngine{core.EngineScalar, core.EngineBatched} {
+		for _, grouping := range []struct {
+			name string
+			exec core.Executor
+		}{{"singleton", goExecutor{}}, {"grouped", nil}} {
 			cfg := core.DefaultGradientConfig()
 			cfg.Iters = leg.iters
 			cfg.Restarts = leg.restarts
 			cfg.EvalEvery = leg.evalEvery
 			cfg.Seed = uint64(leg.seed)
-			cfg.Engine = engine
-			name := leg.name + "/" + engine.String()
+			cfg.Executor = grouping.exec
+			name := leg.name + "/" + grouping.name
 
 			sparseTarget := attackTargetFor(m, m.OpaqueRoutingPipeline().Grayboxed(1e-4))
 			denseTarget := attackTargetFor(m, m.OpaqueRoutingPipelineDense().Grayboxed(1e-4))

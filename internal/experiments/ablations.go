@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dote"
 	"repro/internal/linalg"
+	"repro/internal/obs"
 )
 
 // AblationRow is one configuration of a design-choice ablation.
@@ -99,11 +100,15 @@ func AblationObjective(s *Setup, base core.GradientConfig) ([]AblationRow, error
 // the sampled estimators (finite differences, SPSA, and the §6 online DNN
 // surrogate) applied to an opaque routing+MLU stage — the gray-box spectrum
 // of §3.2/§6. Alongside ratio and runtime it reports each estimator's
-// true-evaluation bill for the opaque stage, counted analytically: 2n+1
-// (FD), 2·probes+1 (SPSA) or 1 (surrogate) per gradient, plus one per
-// scoring eval.
+// true-evaluation bill for the opaque stage. The FD row probes only each
+// row's certified support, so its bill is read from the search's own
+// telemetry: the te.incr.probes it made plus every full forward of the
+// stage. The others are counted analytically: 2·probes+1 (SPSA) or 1
+// (surrogate) per gradient, plus one per scoring eval.
 func AblationGradientEstimator(s *Setup, base core.GradientConfig) ([]AblationRow, error) {
-	n := int64(s.Model.TotalPaths() + s.Model.NumPairs())
+	fd := s.Model.OpaqueRoutingPipeline().Grayboxed(1e-4)
+	fdStages := fd.Stages()
+	fdForwards := "pipeline." + fdStages[len(fdStages)-1].Name() + ".forward.ms"
 	pipelines := []struct {
 		name      string
 		p         *core.Pipeline
@@ -111,8 +116,11 @@ func AblationGradientEstimator(s *Setup, base core.GradientConfig) ([]AblationRo
 	}{
 		{"exact chain rule", s.Model.Pipeline(),
 			func(*core.SearchResult) int64 { return -1 }},
-		{"finite differences", s.Model.OpaqueRoutingPipeline().Grayboxed(1e-4),
-			func(res *core.SearchResult) int64 { return int64(res.GradEvals)*(2*n+1) + int64(res.Evals) }},
+		{"finite differences", fd,
+			func(res *core.SearchResult) int64 {
+				tel := res.Telemetry
+				return tel.Counters["te.incr.probes"] + tel.Histograms[fdForwards].Count
+			}},
 		{"spsa (64 probes)", spsaPipeline(s, 64),
 			func(res *core.SearchResult) int64 { return int64(res.GradEvals)*(2*64+1) + int64(res.Evals) }},
 		{"online dnn surrogate", surrogatePipeline(s),
@@ -124,6 +132,7 @@ func AblationGradientEstimator(s *Setup, base core.GradientConfig) ([]AblationRo
 		target.Pipeline = pl.p
 		cfg := base
 		cfg.Seed = s.Opts.Seed + 900
+		cfg.Obs = obs.NewRegistry()
 		res, err := core.GradientSearch(&target, cfg)
 		if err != nil {
 			return nil, err
@@ -181,7 +190,7 @@ type ParallelismRow struct {
 	Workers    int
 	Throughput float64 // end-to-end gradients per second, scalar workers
 	// BatchedThroughput is gradients per second when the same batch runs
-	// lock-step through Pipeline.BatchGrad (the batched restart engine's hot
+	// lock-step through Pipeline.BatchGrad (a restart group's hot
 	// path) instead of per-row worker goroutines. Zero when the pipeline has
 	// a stage without a native batched implementation.
 	BatchedThroughput float64

@@ -22,10 +22,9 @@ import (
 )
 
 // Pool is the daemon's work-stealing executor. It implements core.Executor:
-// every gradient search submits one task per restart, so restarts from many
-// concurrent jobs interleave over one fixed set of workers — the serve-side
-// extension of the batched engine's restart partitioning, across jobs
-// instead of within one.
+// every gradient search submits one task per restart (a one-restart
+// group), so restarts from many concurrent jobs interleave over one fixed
+// set of workers.
 //
 // Each worker owns a FIFO queue; Run spreads incoming tasks round-robin, a
 // worker prefers its own queue, and an idle worker steals the oldest task
@@ -70,9 +69,6 @@ func NewPool(n int, reg *obs.Registry) *Pool {
 	}
 	return p
 }
-
-// Workers returns the pool size.
-func (p *Pool) Workers() int { return len(p.queues) }
 
 // Run implements core.Executor: the task is queued for exactly-once
 // execution on some worker. After Close the task runs on its own goroutine

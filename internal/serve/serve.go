@@ -63,12 +63,6 @@ type Budget struct {
 	// Patience: 0 inherits the default; negative disables early stopping.
 	Patience int    `json:"patience,omitempty"`
 	Seed     uint64 `json:"seed,omitempty"`
-	// Engine: "" or "scalar" shards restarts over the daemon's
-	// work-stealing pool (the normal mode — restarts from all jobs
-	// interleave over one set of cores); "batched" runs the lock-step
-	// batched engine inside the job instead, with parallelism equal to the
-	// pool size. Per-restart trajectories are bitwise identical either way.
-	Engine string `json:"engine,omitempty"`
 	// EvalCache: 0 shares a memo cache with every other job on the same
 	// checkpoint digest + scenario (the daemon's cross-job speedup); -1
 	// disables caching (what bitwise gate comparisons want); >0 gives this
@@ -335,11 +329,6 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 }
 
 func validBudget(b Budget) error {
-	switch b.Engine {
-	case "", "scalar", "auto", "batched":
-	default:
-		return fmt.Errorf("serve: unknown engine %q (want scalar or batched)", b.Engine)
-	}
 	if b.Iters < 0 || b.Restarts < 0 || b.T < 0 || b.EvalEvery < 0 {
 		return errors.New("serve: negative budget fields")
 	}
@@ -464,13 +453,7 @@ func (s *Server) searchConfig(j *Job) core.GradientConfig {
 		cfg.Seed = b.Seed
 	}
 	cfg.Obs = s.reg
-	if b.Engine == "batched" {
-		cfg.Engine = core.EngineBatched
-		cfg.Workers = s.pool.Workers()
-	} else {
-		cfg.Engine = core.EngineScalar
-		cfg.Executor = s.pool
-	}
+	cfg.Executor = s.pool
 	switch {
 	case b.EvalCache > 0:
 		cfg.EvalCache = core.NewEvalCache(b.EvalCache, s.cfg.CacheQuantum)

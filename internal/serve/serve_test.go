@@ -197,8 +197,8 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 
 // TestGateMatchesDirectSearch pins the daemon's core contract: a gate run
 // through the job queue and work-stealing pool returns bitwise the same
-// adversarial ratio as a direct scalar-engine GradientSearchContext with the
-// same seed and budget — per-restart trajectories are scheduling-independent.
+// adversarial ratio as a direct GradientSearchContext with the same seed and
+// budget — per-restart trajectories are scheduling-independent.
 func TestGateMatchesDirectSearch(t *testing.T) {
 	fleet := newSyntheticFleet()
 	_, c := testServer(t, fleet, Config{})
@@ -219,7 +219,6 @@ func TestGateMatchesDirectSearch(t *testing.T) {
 	}
 	cfg := core.DefaultGradientConfig()
 	cfg.Iters, cfg.Restarts, cfg.EvalEvery, cfg.Seed = 60, 2, 1, 42
-	cfg.Engine = core.EngineScalar
 	direct, err := core.GradientSearchContext(context.Background(), target, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -435,10 +434,16 @@ func TestMetricsEndpointAndJobCompletionDump(t *testing.T) {
 		"# TYPE serve_pool_tasks counter\n",
 		"# TYPE serve_job_elapsed_ms summary\n",
 		"search_improvements ",
+		"search_steps ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+	// Search counters are per search, not per restart: request-supplied
+	// restart counts must not mint new series.
+	if strings.Contains(body, "search_restart_") {
+		t.Fatalf("/metrics has per-restart series:\n%s", body)
 	}
 
 	// Raw endpoint checks the CI smoke test also relies on.
@@ -479,9 +484,9 @@ func TestSubmitValidation(t *testing.T) {
 	fleet := newSyntheticFleet()
 	_, c := testServer(t, fleet, Config{Workers: 1, JobConcurrency: 1})
 	if _, err := c.Submit(context.Background(), JobSpec{
-		Budget: Budget{Engine: "warp-drive"},
+		Budget: Budget{Iters: -1},
 	}); err == nil {
-		t.Fatal("unknown engine must be rejected")
+		t.Fatal("negative budget must be rejected")
 	}
 	resp, err := c.client().Post(c.url("/jobs"), "application/json", strings.NewReader("{not json"))
 	if err != nil {
@@ -490,6 +495,36 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestOraclePanicJobFaultsDaemonSurvives: a job whose scoring oracle
+// panics on every call is contained like any component fault. Each restart
+// runs as a task on the daemon's pool, which has no recover() of its own, so
+// an escaped panic would kill the process; instead the job ends done with
+// stop_reason faulted, and the next job on the same daemon completes.
+func TestOraclePanicJobFaultsDaemonSurvives(t *testing.T) {
+	fleet := newSyntheticFleet()
+	fleet.hooks["boom"] = func(int) { panic("oracle blew up") }
+	_, c := testServer(t, fleet, Config{JobConcurrency: 1})
+	ctx := context.Background()
+
+	budget := Budget{Iters: 20, Restarts: 3, EvalEvery: 5, Seed: 4, EvalCache: -1}
+	for _, job := range []struct{ label, stop string }{
+		{"boom", core.StopFaulted.String()},
+		{"after", core.StopConverged.String()},
+	} {
+		view, err := c.Submit(ctx, JobSpec{Label: job.label, Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last, err := c.Stream(ctx, view.ID, func(Event) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last.Type != "done" || last.StopReason != job.stop {
+			t.Fatalf("job %s: terminal event %q stop_reason %q, want done / %s", job.label, last.Type, last.StopReason, job.stop)
+		}
 	}
 }
 
