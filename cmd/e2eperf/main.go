@@ -373,7 +373,6 @@ func cmdAttack(args []string) error {
 	jsonOut := c.fs.String("json", "", "write the full result (including the adversarial input) to this file")
 	opaque := c.fs.Bool("opaque", false, "attack the gray-box pipeline (fused routing+MLU stage, FD gradients) instead of the white-box chain-rule one")
 	fdStep := c.fs.Float64("fd-step", 1e-4, "finite-difference probe step for -opaque")
-	sparseRefresh := c.fs.Int("sparse-refresh", 0, "with -opaque: full-recompute interval of the incremental evaluators (0 = library default)")
 	evalCacheSize := c.fs.Int("eval-cache", 0, "memoize true-ratio scoring in a cache of this many entries (0 = off)")
 	evalCacheQuant := c.fs.Float64("eval-cache-quant", 0, "demand quantization step for -eval-cache keys (0 = 1e-9)")
 	if err := c.fs.Parse(args); err != nil {
@@ -389,7 +388,6 @@ func cmdAttack(args []string) error {
 		return err
 	}
 	if *opaque {
-		s.Model.SparseRefresh = *sparseRefresh
 		s.Target.Pipeline = s.Model.OpaqueRoutingPipeline().Grayboxed(*fdStep)
 	}
 	cfg := core.DefaultGradientConfig()

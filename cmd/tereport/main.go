@@ -61,7 +61,7 @@ func main() {
 		logf = func(s string) { fmt.Fprintln(os.Stderr, "# "+s) }
 	}
 
-	setup := func(v dote.Variant) *experiments.Setup {
+	setupOpts := func(v dote.Variant) experiments.SetupOptions {
 		opts := experiments.DefaultSetup(v)
 		if *quick {
 			opts = experiments.QuickSetup(v)
@@ -70,11 +70,10 @@ func main() {
 		opts.Seed = *seed
 		opts.Verbose = logf
 		opts.Obs = reg
-		s, err := experiments.Prepare(opts)
-		if err != nil {
-			fatal(err)
-		}
-		return s
+		return opts
+	}
+	setup := func(v dote.Variant) *experiments.Setup {
+		return prepare(setupOpts(v))
 	}
 	budgets := experiments.DefaultBudgets()
 	budgets.Gradient.Obs = reg
@@ -114,7 +113,7 @@ func main() {
 	}
 
 	if *ablations {
-		runAblations(setup, *quick)
+		runAblations(setupOpts, *quick)
 		return
 	}
 
@@ -179,10 +178,20 @@ func main() {
 	}
 }
 
-// runAblations executes the DESIGN.md §5 ablation suite on a DOTE-Curr
-// setup and prints one table per knob.
-func runAblations(setup func(dote.Variant) *experiments.Setup, quick bool) {
-	s := setup(dote.Curr)
+// prepare trains the model an evaluation run needs, exiting on error.
+func prepare(opts experiments.SetupOptions) *experiments.Setup {
+	s, err := experiments.Prepare(opts)
+	if err != nil {
+		fatal(err)
+	}
+	return s
+}
+
+// runAblations executes the DESIGN.md §5 ablation suite and prints one table
+// per knob. Most knobs share one DOTE-Curr setup; the history-length and
+// topology-scale rows train their own models.
+func runAblations(setupOpts func(dote.Variant) experiments.SetupOptions, quick bool) {
+	s := prepare(setupOpts(dote.Curr))
 	base := core.DefaultGradientConfig()
 	if quick {
 		base.Iters = 100
@@ -226,6 +235,17 @@ func runAblations(setup func(dote.Variant) *experiments.Setup, quick bool) {
 	if len(prs) > 0 && prs[0].BatchedThroughput > 0 {
 		fmt.Printf("one restart group (one [32,n] lock-step batch): %.0f grads/s (%.2fx vs 1 worker)\n",
 			prs[0].BatchedThroughput, prs[0].BatchedThroughput/prs[0].Throughput)
+	}
+	rows, err = experiments.AblationHistoryLength(setupOpts(dote.Hist), []int{2, 6, 12}, base)
+	printAblation("DOTE-Hist history length K (one model trained per K)", rows, err)
+	scale, err := experiments.RunTopologyScale(setupOpts(dote.Curr), []string{"triangle", "abilene", "geant"}, base)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Println("\nTOPOLOGY SCALE: one DOTE-Curr model trained and attacked per topology")
+	fmt.Printf("%-10s %-6s %-9s %s\n", "topology", "pairs", "ratio", "runtime")
+	for _, r := range scale {
+		fmt.Printf("%-10s %-6d %-9s %s\n", r.Topology, r.Pairs, fmt.Sprintf("%.2fx", r.Ratio), r.Runtime.Round(time.Millisecond))
 	}
 }
 

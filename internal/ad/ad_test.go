@@ -8,6 +8,18 @@ import (
 	"repro/internal/rng"
 )
 
+// NumNodes returns the number of recorded nodes.
+func (t *Tape) NumNodes() int { return len(t.nodes) }
+
+// Mul returns the elementwise product a * b (b may be scalar-broadcast).
+// The gradient checks use it to weight an op's outputs into a scalar.
+func Mul(a, b Value) Value {
+	return elementwiseBinary(a, b,
+		func(x, y float64) float64 { return x * y },
+		func(x, y float64) float64 { return y },
+		func(x, y float64) float64 { return x })
+}
+
 // numericGrad computes a central-difference gradient of f at x.
 func numericGrad(f func(x []float64) float64, x []float64) []float64 {
 	const h = 1e-6
@@ -61,26 +73,15 @@ func TestElementwiseGradients(t *testing.T) {
 		{"mul", func(tp *Tape, v Value) Value {
 			return Sum(Mul(v, v))
 		}},
-		{"div", func(tp *Tape, v Value) Value {
-			return Sum(Div(tp.Const([]float64{1, 1, 1, 1, 1}), AddConst(Square(v), 1)))
-		}},
 		{"scale", func(tp *Tape, v Value) Value { return Sum(Scale(v, -2.5)) }},
 		{"sigmoid", func(tp *Tape, v Value) Value { return Sum(Sigmoid(v)) }},
 		{"tanh", func(tp *Tape, v Value) Value { return Sum(Tanh(v)) }},
-		{"exp", func(tp *Tape, v Value) Value { return Sum(Exp(v)) }},
 		{"square", func(tp *Tape, v Value) Value { return Sum(Square(v)) }},
 		{"softplus", func(tp *Tape, v Value) Value { return Sum(Softplus(v)) }},
 		{"elu", func(tp *Tape, v Value) Value { return Sum(ELU(v, 1.0)) }},
 		{"leaky", func(tp *Tape, v Value) Value { return Sum(LeakyReLU(v, 0.01)) }},
 		{"neg", func(tp *Tape, v Value) Value { return Sum(Neg(v)) }},
 		{"mean", func(tp *Tape, v Value) Value { return Mean(Square(v)) }},
-		{"logsumexp", func(tp *Tape, v Value) Value { return LogSumExp(v) }},
-		{"dot", func(tp *Tape, v Value) Value {
-			return Dot(v, tp.Const([]float64{2, -1, 0.5, 3, 1}))
-		}},
-		{"softmax", func(tp *Tape, v Value) Value {
-			return Dot(Softmax(v), tp.Const([]float64{1, 0, 2, 0, -1}))
-		}},
 		{"chain", func(tp *Tape, v Value) Value {
 			return Sum(Mul(Sigmoid(v), Tanh(Scale(v, 0.5))))
 		}},
@@ -93,15 +94,12 @@ func TestElementwiseGradients(t *testing.T) {
 func TestPositiveDomainGradients(t *testing.T) {
 	x := []float64{0.5, 1.2, 2.0, 0.3}
 	checkGrad(t, "log", func(tp *Tape, v Value) Value { return Sum(Log(v)) }, x, 1e-5)
-	checkGrad(t, "sqrt", func(tp *Tape, v Value) Value { return Sum(Sqrt(v)) }, x, 1e-5)
 }
 
 func TestReLUGradient(t *testing.T) {
 	// Avoid the kink at 0.
 	x := []float64{0.5, -1.2, 2.0, -0.3}
 	checkGrad(t, "relu", func(tp *Tape, v Value) Value { return Sum(ReLU(v)) }, x, 1e-5)
-	checkGrad(t, "abs", func(tp *Tape, v Value) Value { return Sum(Abs(v)) }, x, 1e-5)
-	checkGrad(t, "clamp", func(tp *Tape, v Value) Value { return Sum(Clamp(v, -1, 1)) }, x, 1e-5)
 }
 
 func TestMaxGradient(t *testing.T) {
@@ -120,12 +118,6 @@ func TestMaxGradient(t *testing.T) {
 			t.Fatalf("Max grad = %v, want %v", g, want)
 		}
 	}
-	tp2 := NewTape()
-	v2 := tp2.Var([]float64{4, 1, 9})
-	m := Min(v2)
-	if m.ScalarValue() != 1 {
-		t.Fatalf("Min = %v", m.ScalarValue())
-	}
 }
 
 func TestScalarBroadcast(t *testing.T) {
@@ -137,28 +129,6 @@ func TestScalarBroadcast(t *testing.T) {
 	checkGrad(t, "broadcast-add", func(tp *Tape, v Value) Value {
 		return Sum(Add(v, Mean(v)))
 	}, x, 1e-5)
-	checkGrad(t, "broadcast-div", func(tp *Tape, v Value) Value {
-		return Sum(Div(v, AddConst(Square(Mean(v)), 1)))
-	}, x, 1e-5)
-}
-
-func TestMatVecGradient(t *testing.T) {
-	r := rng.New(1)
-	wdata := make([]float64, 12)
-	for i := range wdata {
-		wdata[i] = r.NormFloat64()
-	}
-	x := []float64{0.3, -0.7, 1.1}
-	// Gradient with respect to x.
-	checkGrad(t, "matvec-x", func(tp *Tape, v Value) Value {
-		w := tp.ConstMat(wdata, 4, 3)
-		return Sum(Square(MatVec(w, v)))
-	}, x, 1e-4)
-	// Gradient with respect to W.
-	checkGrad(t, "matvec-w", func(tp *Tape, v Value) Value {
-		w := Reshape(v, 4, 3)
-		return Sum(Square(MatVec(w, tp.Const(x))))
-	}, wdata, 1e-4)
 }
 
 func TestMatMulGradient(t *testing.T) {
@@ -194,13 +164,14 @@ func TestMatMulMatchesMatVec(t *testing.T) {
 		x[i] = r.NormFloat64()
 	}
 	tp := NewTape()
-	wm := tp.ConstMat(w, 4, 5)
-	xv := tp.Const(x)
-	y1 := MatVec(wm, xv)
-	y2 := MatMul(wm, Reshape(xv, 5, 1))
+	y := MatMul(tp.ConstMat(w, 4, 5), Reshape(tp.Const(x), 5, 1))
 	for i := 0; i < 4; i++ {
-		if math.Abs(y1.Data()[i]-y2.Data()[i]) > 1e-12 {
-			t.Fatal("MatVec and MatMul disagree")
+		want := 0.0
+		for j := 0; j < 5; j++ {
+			want += w[i*5+j] * x[j]
+		}
+		if math.Abs(y.Data()[i]-want) > 1e-12 {
+			t.Fatal("MatMul disagrees with the matrix-vector product")
 		}
 	}
 }
@@ -249,21 +220,8 @@ func TestSegmentSoftmaxGradient(t *testing.T) {
 	lens := []int{3, 2, 2}
 	checkGrad(t, "segment-softmax", func(tp *Tape, v Value) Value {
 		y := SegmentSoftmax(v, offsets, lens)
-		return Dot(y, tp.Const([]float64{1, -2, 0.5, 3, 0, 1, -1}))
+		return Sum(Mul(y, tp.Const([]float64{1, -2, 0.5, 3, 0, 1, -1})))
 	}, x, 1e-5)
-}
-
-func TestSegmentSumGradient(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	checkGrad(t, "segment-sum", func(tp *Tape, v Value) Value {
-		y := SegmentSum(v, []int{0, 2}, []int{2, 3})
-		return Dot(y, tp.Const([]float64{2, -1}))
-	}, x, 1e-6)
-	tp := NewTape()
-	y := SegmentSum(tp.Const(x), []int{0, 2}, []int{2, 3})
-	if y.Data()[0] != 3 || y.Data()[1] != 12 {
-		t.Fatalf("SegmentSum = %v", y.Data())
-	}
 }
 
 func TestConcatSliceGradient(t *testing.T) {
@@ -334,10 +292,6 @@ func TestGradAccumulationAndZero(t *testing.T) {
 	Backward(y) // second pass accumulates
 	if x.Grad()[0] != 6 {
 		t.Fatalf("accumulated grad = %v, want 6", x.Grad()[0])
-	}
-	tp.ZeroGrads()
-	if x.Grad()[0] != 0 {
-		t.Fatal("ZeroGrads did not clear")
 	}
 }
 

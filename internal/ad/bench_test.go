@@ -15,18 +15,6 @@ func randomVec(n int, seed uint64) []float64 {
 	return v
 }
 
-func BenchmarkMatVec(b *testing.B) {
-	b.ReportAllocs()
-	w := randomVec(128*1320, 1)
-	x := randomVec(1320, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tp := NewTape()
-		wm := tp.ConstMat(w, 128, 1320)
-		MatVec(wm, tp.Const(x))
-	}
-}
-
 func BenchmarkMatMulForwardBackward(b *testing.B) {
 	b.ReportAllocs()
 	// The DOTE-scale first layer: [1, 1320] x [1320, 128].

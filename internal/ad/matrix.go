@@ -6,37 +6,6 @@ import (
 	"repro/internal/linalg"
 )
 
-// MatVec returns W·x for a matrix W [m,n] and vector x [n].
-func MatVec(w, x Value) Value {
-	w.sameTape(x)
-	if x.Cols() != 1 || w.Cols() != x.Rows() {
-		panic(fmt.Sprintf("ad: MatVec shapes %dx%d · %dx%d", w.Rows(), w.Cols(), x.Rows(), x.Cols()))
-	}
-	t := w.t
-	m, n := w.Rows(), w.Cols()
-	out := t.result(m, 1, w.n.requires || x.n.requires)
-	linalg.MatVecInto(out.n.data, w.n.data, x.n.data, m, n)
-	if out.n.requires {
-		on := out.n
-		on.bk = bkMatVec
-		on.a, on.b = w.n, x.n
-	}
-	return out
-}
-
-func backMatVec(n *node) {
-	wn, xn := n.a, n.b
-	m, nn := wn.rows, wn.cols
-	if wn.requires {
-		wn.ensureGrad()
-		linalg.OuterAddInto(wn.grad, n.grad, xn.data, m, nn)
-	}
-	if xn.requires {
-		xn.ensureGrad()
-		linalg.MatVecTransAddInto(xn.grad, wn.data, n.grad, m, nn)
-	}
-}
-
 // MatMul returns A·B for matrices A [m,k] and B [k,p].
 func MatMul(a, b Value) Value {
 	a.sameTape(b)

@@ -105,27 +105,15 @@ func backElemUnary(n *node) {
 // Static partials for the binary ops.
 func dOne(x, y float64) float64    { return 1 }
 func dNegOne(x, y float64) float64 { return -1 }
-func dRight(x, y float64) float64  { return y }
-func dLeft(x, y float64) float64   { return x }
-func dDivA(x, y float64) float64   { return 1 / y }
-func dDivB(x, y float64) float64   { return -x / (y * y) }
 
 func fAdd(x, y float64) float64 { return x + y }
 func fSub(x, y float64) float64 { return x - y }
-func fMul(x, y float64) float64 { return x * y }
-func fDiv(x, y float64) float64 { return x / y }
 
 // Add returns a + b (b may be scalar-broadcast).
 func Add(a, b Value) Value { return elementwiseBinary(a, b, fAdd, dOne, dOne) }
 
 // Sub returns a - b (b may be scalar-broadcast).
 func Sub(a, b Value) Value { return elementwiseBinary(a, b, fSub, dOne, dNegOne) }
-
-// Mul returns the elementwise product a * b (b may be scalar-broadcast).
-func Mul(a, b Value) Value { return elementwiseBinary(a, b, fMul, dRight, dLeft) }
-
-// Div returns the elementwise quotient a / b (b may be scalar-broadcast).
-func Div(a, b Value) Value { return elementwiseBinary(a, b, fDiv, dDivA, dDivB) }
 
 // Static partials for the unary ops; p1/p2 carry the op parameters.
 func duConst(x, y, p1, p2 float64) float64 { return p1 }
@@ -148,29 +136,11 @@ func duELU(x, y, p1, p2 float64) float64 {
 	}
 	return y + p1 // alpha*e^x = y + alpha
 }
-func duSigmoid(x, y, p1, p2 float64) float64 { return y * (1 - y) }
-func duTanh(x, y, p1, p2 float64) float64    { return 1 - y*y }
-func duExp(x, y, p1, p2 float64) float64     { return y }
-func duLog(x, y, p1, p2 float64) float64     { return 1 / x }
-func duSqrt(x, y, p1, p2 float64) float64    { return 0.5 / y }
-func duSquare(x, y, p1, p2 float64) float64  { return 2 * x }
-func duAbs(x, y, p1, p2 float64) float64 {
-	switch {
-	case x > 0:
-		return 1
-	case x < 0:
-		return -1
-	default:
-		return 0
-	}
-}
+func duSigmoid(x, y, p1, p2 float64) float64  { return y * (1 - y) }
+func duTanh(x, y, p1, p2 float64) float64     { return 1 - y*y }
+func duLog(x, y, p1, p2 float64) float64      { return 1 / x }
+func duSquare(x, y, p1, p2 float64) float64   { return 2 * x }
 func duSoftplus(x, y, p1, p2 float64) float64 { return 1 / (1 + math.Exp(-x)) }
-func duClamp(x, y, p1, p2 float64) float64 {
-	if x >= p1 && x <= p2 {
-		return 1
-	}
-	return 0
-}
 
 // Scale returns alpha * x for a constant alpha.
 func Scale(x Value, alpha float64) Value {
@@ -238,19 +208,9 @@ func Tanh(x Value) Value {
 	return elementwiseUnary(x, math.Tanh, duTanh, 0, 0)
 }
 
-// Exp returns e^x elementwise.
-func Exp(x Value) Value {
-	return elementwiseUnary(x, math.Exp, duExp, 0, 0)
-}
-
 // Log returns ln(x) elementwise.
 func Log(x Value) Value {
 	return elementwiseUnary(x, math.Log, duLog, 0, 0)
-}
-
-// Sqrt returns the elementwise square root.
-func Sqrt(x Value) Value {
-	return elementwiseUnary(x, math.Sqrt, duSqrt, 0, 0)
 }
 
 // Square returns x*x elementwise.
@@ -258,11 +218,6 @@ func Square(x Value) Value {
 	return elementwiseUnary(x,
 		func(v float64) float64 { return v * v },
 		duSquare, 0, 0)
-}
-
-// Abs returns |x| elementwise with subgradient 0 at 0.
-func Abs(x Value) Value {
-	return elementwiseUnary(x, math.Abs, duAbs, 0, 0)
 }
 
 // Softplus returns log(1 + e^x), a smooth approximation of ReLU used when
@@ -276,13 +231,6 @@ func Softplus(x Value) Value {
 			return math.Log1p(math.Exp(v))
 		},
 		duSoftplus, 0, 0)
-}
-
-// Clamp limits x to [lo, hi] with zero gradient outside the interval.
-func Clamp(x Value, lo, hi float64) Value {
-	return elementwiseUnary(x,
-		func(v float64) float64 { return math.Max(lo, math.Min(hi, v)) },
-		duClamp, lo, hi)
 }
 
 // Concat concatenates rank-1 values into one vector.

@@ -32,11 +32,6 @@ func Mean(x Value) Value {
 	return Scale(Sum(x), 1/float64(x.Len()))
 }
 
-// Dot returns the scalar inner product of two equal-length vectors.
-func Dot(a, b Value) Value {
-	return Sum(Mul(a, b))
-}
-
 // Max returns the scalar maximum of x. The subgradient flows entirely to
 // the first attaining element — the standard max subgradient, which is what
 // makes the MLU objective piecewise sub-differentiable (§3.2).
@@ -62,45 +57,6 @@ func backMax(n *node) {
 	xn := n.a
 	xn.ensureGrad()
 	xn.grad[n.i1] += n.grad[0]
-}
-
-// Min returns the scalar minimum of x (subgradient to first attaining
-// element).
-func Min(x Value) Value {
-	return Neg(Max(Neg(x)))
-}
-
-// LogSumExp returns log Σ e^{x_i} — a smooth upper bound on Max used by the
-// smooth-objective ablation.
-func LogSumExp(x Value) Value {
-	t := x.t
-	out := t.result(1, 1, x.n.requires)
-	m := math.Inf(-1)
-	for _, v := range x.n.data {
-		if v > m {
-			m = v
-		}
-	}
-	s := 0.0
-	for _, v := range x.n.data {
-		s += math.Exp(v - m)
-	}
-	out.n.data[0] = m + math.Log(s)
-	if out.n.requires {
-		out.n.bk = bkLSE
-		out.n.a = x.n
-	}
-	return out
-}
-
-func backLSE(n *node) {
-	xn := n.a
-	xn.ensureGrad()
-	g := n.grad[0]
-	lse := n.data[0]
-	for i, v := range xn.data {
-		xn.grad[i] += g * math.Exp(v-lse)
-	}
 }
 
 // SegmentSoftmax applies a softmax independently within each contiguous
@@ -169,83 +125,6 @@ func backSegmentSoftmax(n *node) {
 		for i := o; i < o+l; i++ {
 			xn.grad[i] += n.data[i] * (n.grad[i] - dot)
 		}
-	}
-}
-
-// Softmax applies a softmax over the whole vector.
-func Softmax(x Value) Value {
-	off := x.t.ia.alloc(1)
-	ln := x.t.ia.alloc(1)
-	off[0], ln[0] = 0, x.Len()
-	return SegmentSoftmax(x, off, ln)
-}
-
-// SegmentSum sums within contiguous segments, producing one output element
-// per segment. The offsets and lens slices are retained until Tape.Reset.
-func SegmentSum(x Value, offsets, lens []int) Value {
-	if x.Cols() != 1 {
-		panic("ad: SegmentSum requires a vector")
-	}
-	t := x.t
-	out := t.result(len(offsets), 1, x.n.requires)
-	for s := range offsets {
-		o, l := offsets[s], lens[s]
-		sum := 0.0
-		for i := o; i < o+l; i++ {
-			sum += x.n.data[i]
-		}
-		out.n.data[s] = sum
-	}
-	if out.n.requires {
-		out.n.bk = bkSegmentSum
-		out.n.a = x.n
-		out.n.ints = offsets
-		out.n.ints2 = lens
-	}
-	return out
-}
-
-func backSegmentSum(n *node) {
-	xn := n.a
-	xn.ensureGrad()
-	offsets, lens := n.ints, n.ints2
-	for s := range offsets {
-		o, l := offsets[s], lens[s]
-		g := n.grad[s]
-		for i := o; i < o+l; i++ {
-			xn.grad[i] += g
-		}
-	}
-}
-
-// Gather returns y with y_i = x[indices[i]]. Repeated indices are allowed;
-// the backward pass scatter-accumulates. The indices slice is retained until
-// Tape.Reset.
-func Gather(x Value, indices []int) Value {
-	if x.Cols() != 1 {
-		panic("ad: Gather requires a vector")
-	}
-	t := x.t
-	out := t.result(len(indices), 1, x.n.requires)
-	for i, idx := range indices {
-		if idx < 0 || idx >= x.Len() {
-			panic("ad: Gather index out of range")
-		}
-		out.n.data[i] = x.n.data[idx]
-	}
-	if out.n.requires {
-		out.n.bk = bkGather
-		out.n.a = x.n
-		out.n.ints = indices
-	}
-	return out
-}
-
-func backGather(n *node) {
-	xn := n.a
-	xn.ensureGrad()
-	for i, idx := range n.ints {
-		xn.grad[idx] += n.grad[i]
 	}
 }
 

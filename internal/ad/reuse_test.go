@@ -5,16 +5,16 @@ import (
 	"testing"
 )
 
-// buildAndGrad records a small but representative graph (matvec, activation,
-// softmax-style reductions, slicing, concat) on t and returns copies of the
-// output and the input gradient.
+// buildAndGrad records a small but representative graph (matmul, reshape,
+// activation, softmax and max reductions, slicing, concat) on t and returns
+// copies of the output and the input gradient.
 func buildAndGrad(t *Tape, w, x []float64, rows, cols int) (float64, []float64) {
 	wm := t.VarMat(w, rows, cols)
 	xv := t.Var(x)
-	h := Tanh(MatVec(wm, xv))
-	s := Softmax(h)
+	h := Tanh(MatMul(wm, Reshape(xv, cols, 1)))
+	s := SegmentSoftmax(h, []int{0}, []int{rows})
 	mix := Concat(Slice(s, 0, rows/2), Slice(s, rows/2, rows))
-	out := Add(Sum(Mul(mix, h)), LogSumExp(h))
+	out := Add(Sum(Mul(mix, h)), Max(h))
 	Backward(out)
 	grad := append([]float64(nil), xv.Grad()...)
 	return out.ScalarValue(), grad
@@ -138,7 +138,7 @@ func TestTapeReuseStopsAllocating(t *testing.T) {
 		tape.Reset()
 		wm := tape.VarMat(w, rows, cols)
 		xv := tape.Var(x)
-		out := Sum(Tanh(MatVec(wm, xv)))
+		out := Sum(Tanh(MatMul(wm, Reshape(xv, cols, 1))))
 		Backward(out)
 		copy(sink, xv.Grad())
 	})

@@ -2,34 +2,6 @@ package ad
 
 import "testing"
 
-func TestGatherForwardAndGrad(t *testing.T) {
-	tp := NewTape()
-	x := tp.Var([]float64{10, 20, 30})
-	y := Gather(x, []int{2, 0, 2}) // repeated index accumulates in backward
-	if y.Data()[0] != 30 || y.Data()[1] != 10 || y.Data()[2] != 30 {
-		t.Fatalf("Gather forward = %v", y.Data())
-	}
-	BackwardVJP(y, []float64{1, 5, 2})
-	g := x.Grad()
-	want := []float64{5, 0, 3}
-	for i := range want {
-		if g[i] != want[i] {
-			t.Fatalf("Gather grad = %v, want %v", g, want)
-		}
-	}
-}
-
-func TestGatherPanics(t *testing.T) {
-	tp := NewTape()
-	x := tp.Var([]float64{1, 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Gather accepted out-of-range index")
-		}
-	}()
-	Gather(x, []int{5})
-}
-
 func TestSegmentMaxForwardAndGrad(t *testing.T) {
 	tp := NewTape()
 	x := tp.Var([]float64{1, 9, 3, 7, 2})
@@ -66,12 +38,4 @@ func TestSegmentMaxEmptySegmentPanics(t *testing.T) {
 		}
 	}()
 	SegmentMax(x, []int{0, 1}, []int{1, 0})
-}
-
-func TestGatherNumericGradient(t *testing.T) {
-	x := []float64{0.5, -1.5, 2.5}
-	checkGrad(t, "gather-chain", func(tp *Tape, v Value) Value {
-		y := Gather(v, []int{0, 2, 1, 0})
-		return Sum(Square(y))
-	}, x, 1e-6)
 }

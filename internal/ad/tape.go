@@ -41,18 +41,14 @@ const (
 	bkElemUnary
 	bkConcat
 	bkSlice
-	bkMatVec
 	bkMatMul
 	bkCopy
 	bkRow
 	bkAddRowVector
 	bkSum
 	bkMax
-	bkLSE
 	bkSegmentSoftmax
-	bkSegmentSum
 	bkSegmentMax
-	bkGather
 	bkCustom
 )
 
@@ -101,9 +97,6 @@ func (t *Tape) Reset() {
 	t.ia.reset()
 	t.ra.reset()
 }
-
-// NumNodes returns the number of recorded nodes (for tests).
-func (t *Tape) NumNodes() int { return len(t.nodes) }
 
 func (t *Tape) newNode(rows, cols int, requires bool) *node {
 	n := t.na.get()
@@ -252,8 +245,6 @@ func (n *node) backprop() {
 		backConcat(n)
 	case bkSlice:
 		backSlice(n)
-	case bkMatVec:
-		backMatVec(n)
 	case bkMatMul:
 		backMatMul(n)
 	case bkCopy:
@@ -266,16 +257,10 @@ func (n *node) backprop() {
 		backSum(n)
 	case bkMax:
 		backMax(n)
-	case bkLSE:
-		backLSE(n)
 	case bkSegmentSoftmax:
 		backSegmentSoftmax(n)
-	case bkSegmentSum:
-		backSegmentSum(n)
 	case bkSegmentMax:
 		backSegmentMax(n)
-	case bkGather:
-		backGather(n)
 	case bkCustom:
 		backCustom(n)
 	default:
@@ -289,17 +274,6 @@ func (n *node) backprop() {
 func (t *Tape) clearIntermediateGrads() {
 	for _, n := range t.nodes {
 		if n.bk != bkNone && n.grad != nil {
-			for i := range n.grad {
-				n.grad[i] = 0
-			}
-		}
-	}
-}
-
-// ZeroGrads clears all gradient buffers on the tape (keeps forward values).
-func (t *Tape) ZeroGrads() {
-	for _, n := range t.nodes {
-		if n.grad != nil {
 			for i := range n.grad {
 				n.grad[i] = 0
 			}

@@ -186,32 +186,6 @@ func TestConstrainedSearchRespectsBudget(t *testing.T) {
 	}
 }
 
-func TestSweepConstraintTarget(t *testing.T) {
-	m := trainedModel(t, dote.Curr, 1)
-	tg := targetFor(m)
-	cfg := core.DefaultGradientConfig()
-	cfg.Iters = 60
-	cfg.Restarts = 1
-	best, all, err := core.SweepConstraintTarget(tg, cfg, []float64{0.5, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 {
-		t.Fatalf("sweep results = %d, want 3", len(all))
-	}
-	if best == nil {
-		t.Fatal("no best result")
-	}
-	for _, sr := range all {
-		if sr.Result.Found && best.Found && sr.Result.BestRatio > best.BestRatio {
-			t.Fatal("best is not the max over the sweep")
-		}
-	}
-	if _, _, err := core.SweepConstraintTarget(tg, cfg, nil); err == nil {
-		t.Fatal("accepted empty sweep")
-	}
-}
-
 func TestPartitionedSearch(t *testing.T) {
 	m := trainedModel(t, dote.Curr, 1)
 	tg := targetFor(m)
@@ -297,25 +271,5 @@ func TestNonTETarget(t *testing.T) {
 	// must get close.
 	if res.BestRatio < 8 {
 		t.Fatalf("best ratio %v, want near 10", res.BestRatio)
-	}
-}
-
-func TestFlowObjectiveSearch(t *testing.T) {
-	// The §4 extension end to end: attack the total-flow objective with a
-	// constraint-target sweep.
-	m := trainedModel(t, dote.Curr, 1)
-	tg := m.FlowAttackTarget()
-	cfg := core.DefaultGradientConfig()
-	cfg.Iters = 80
-	cfg.Restarts = 2
-	best, all, err := core.SweepConstraintTarget(tg, cfg, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 2 || best == nil {
-		t.Fatal("flow sweep shape wrong")
-	}
-	if best.Found && best.BestRatio < 1 {
-		t.Fatalf("flow ratio %v < 1 is impossible", best.BestRatio)
 	}
 }

@@ -1,5 +1,8 @@
 package core
 
+// PartitionedSearch is the §6 partitioned-analysis experiment. It lives in a
+// test file because TestPartitionedSearch is its only runner.
+
 import (
 	"fmt"
 	"time"

@@ -199,10 +199,3 @@ func (s *onlineSurrogate) vjpInto(x, ybar, grad []float64) {
 		grad[i] = g[i] / s.scale[i]
 	}
 }
-
-// Observations reports how many samples the surrogate has seen (tests).
-func (s *onlineSurrogate) Observations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seen
-}

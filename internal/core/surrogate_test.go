@@ -8,6 +8,13 @@ import (
 	"repro/internal/rng"
 )
 
+// Observations reports how many samples the surrogate has seen.
+func (s *onlineSurrogate) Observations() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seen
+}
+
 // predict returns the surrogate network's own prediction f_θ(x), to check
 // how closely it tracks the true component.
 func (s *onlineSurrogate) predict(x []float64) []float64 {

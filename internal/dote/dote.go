@@ -78,14 +78,8 @@ type Model struct {
 	// records them onto the tape without allocating closures
 	utilFwd func(in [][]float64, out []float64)
 	utilBwd func(in [][]float64, out, gout []float64, gin [][]float64)
-	// flattened slot→edge incidence for the delivered-flow objective
-	flowFlat, flowOffsets, flowLens []int
 	// InputScale normalizes demands before they enter the DNN.
 	InputScale float64
-	// SparseRefresh overrides the incremental evaluators' full-recompute
-	// interval in OpaqueRoutingPipeline's fused routing+MLU stage (0 keeps
-	// te.DefaultRefreshEvery). Set before building the pipeline.
-	SparseRefresh int
 
 	// per-batch-size segment layouts for the batched stages, built lazily
 	// and cached for the life of the model (batch sizes are few: at most
@@ -165,13 +159,6 @@ func New(ps *paths.PathSet, cfg Config) *Model {
 	m.caps = make([]float64, g.NumEdges())
 	for e := 0; e < g.NumEdges(); e++ {
 		m.caps[e] = g.Edge(e).Capacity
-	}
-	m.flowOffsets = make([]int, len(slotEdges))
-	m.flowLens = make([]int, len(slotEdges))
-	for slot, edges := range slotEdges {
-		m.flowOffsets[slot] = len(m.flowFlat)
-		m.flowLens[slot] = len(edges)
-		m.flowFlat = append(m.flowFlat, edges...)
 	}
 	caps := m.caps
 	// The utilization kernels are row-generalized: they infer the batch size
@@ -310,13 +297,9 @@ func (m *Model) Splits(history []float64) te.Splits {
 	return out
 }
 
-// SystemMLU runs the entire pipeline on a search-space input and returns
-// the resulting MLU.
-func (m *Model) SystemMLU(x []float64) float64 {
-	history, demand := m.SplitInput(x)
-	splits := m.Splits(history)
-	mlu, _ := te.MLU(m.PS, te.TrafficMatrix(demand), splits)
-	return mlu
+// String renders the model briefly.
+func (m *Model) String() string {
+	return fmt.Sprintf("%s(K=%d, hidden=%v, %s)", m.Cfg.Variant, m.Cfg.HistLen, m.Cfg.Hidden, m.Cfg.Act)
 }
 
 // PerformanceRatio evaluates Eq. 2 on a search-space input: the pipeline's

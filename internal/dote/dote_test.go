@@ -13,6 +13,16 @@ import (
 	"repro/internal/traffic"
 )
 
+// SystemMLU runs the entire pipeline on a search-space input and returns
+// the resulting MLU through te.MLU: the reference the pipeline and Explain
+// tests compare against.
+func (m *Model) SystemMLU(x []float64) float64 {
+	history, demand := m.SplitInput(x)
+	splits := m.Splits(history)
+	mlu, _ := te.MLU(m.PS, te.TrafficMatrix(demand), splits)
+	return mlu
+}
+
 func smallModel(t *testing.T, v Variant) *Model {
 	t.Helper()
 	ps := paths.NewPathSet(topology.Triangle(), 2)
@@ -336,10 +346,9 @@ func TestUtilizationValueMatchesLinkLoads(t *testing.T) {
 	s := c.T.Const(splits)
 	util := m.UtilizationValue(c.T, d, s)
 	loads := te.LinkLoads(m.PS, te.TrafficMatrix(dem), splits)
-	wantU := te.Utilizations(m.PS, loads)
-	for i := range wantU {
-		if math.Abs(util.Data()[i]-wantU[i]) > 1e-9 {
-			t.Fatalf("utilization[%d] = %v, want %v", i, util.Data()[i], wantU[i])
+	for i, l := range loads {
+		if want := l / m.PS.Graph.Edge(i).Capacity; math.Abs(util.Data()[i]-want) > 1e-9 {
+			t.Fatalf("utilization[%d] = %v, want %v", i, util.Data()[i], want)
 		}
 	}
 }

@@ -28,13 +28,7 @@ type opaqueRoutingStage struct {
 
 func newOpaqueRoutingStage(m *Model) *opaqueRoutingStage {
 	s := &opaqueRoutingStage{m: m}
-	s.pool.New = func() any {
-		ev := te.NewIncrementalEvaluator(m.PS)
-		if m.SparseRefresh > 0 {
-			ev.RefreshEvery = m.SparseRefresh
-		}
-		return ev
-	}
+	s.pool.New = func() any { return te.NewIncrementalEvaluator(m.PS) }
 	return s
 }
 
@@ -43,7 +37,7 @@ func newOpaqueRoutingStage(m *Model) *opaqueRoutingStage {
 func (s *opaqueRoutingStage) Name() string { return "routing+mlu (opaque)" }
 
 // Instrument implements core.Instrumentable: pooled evaluators borrowed
-// after this call route te.incr.* probe/update counters and latency
+// after this call route te.incr.* probe counters and latency
 // histograms into reg (nil detaches).
 func (s *opaqueRoutingStage) Instrument(reg *obs.Registry) { s.reg.Store(reg) }
 

@@ -94,21 +94,6 @@ func (g *Regressor) Predict(x []float64) float64 {
 	return s
 }
 
-// PredictVar returns the posterior variance at x.
-func (g *Regressor) PredictVar(x []float64) float64 {
-	n := len(g.xs)
-	kstar := make([]float64, n)
-	for i, xi := range g.xs {
-		kstar[i] = g.kernel.Eval(x, xi)
-	}
-	v := linalg.SolveCholesky(g.chol, kstar)
-	out := g.kernel.Eval(x, x) - linalg.Dot(kstar, v)
-	if out < 0 {
-		out = 0
-	}
-	return out
-}
-
 // Grad returns the gradient of the posterior mean at x — the quantity the
 // gray-box analyzer consumes in place of the true component gradient.
 func (g *Regressor) Grad(x []float64) []float64 {

@@ -68,29 +68,6 @@ func TestGradMatchesNumeric(t *testing.T) {
 	}
 }
 
-func TestPredictVarShrinksAtData(t *testing.T) {
-	r := rng.New(3)
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 30; i++ {
-		x := []float64{r.Uniform(-1, 1)}
-		xs = append(xs, x)
-		ys = append(ys, x[0]*x[0])
-	}
-	g, err := Fit(xs, ys, RBF{LengthScale: 0.5, Variance: 1}, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	atData := g.PredictVar(xs[0])
-	far := g.PredictVar([]float64{5})
-	if atData >= far {
-		t.Fatalf("variance at data %v >= far away %v", atData, far)
-	}
-	if atData < 0 || far < 0 {
-		t.Fatal("negative variance")
-	}
-}
-
 func TestFitValidation(t *testing.T) {
 	if _, err := Fit(nil, nil, RBF{1, 1}, 1e-6); err == nil {
 		t.Fatal("accepted empty data")

@@ -178,8 +178,9 @@ func matMulQuadRows(c, a, b []float64, i, kb, ke, k, p int) {
 // MatMulNTBlockedAddInto accumulates C += A·Bᵀ for row-major A [m,p],
 // B [k,p], C [m,k] — the dA = dC·Bᵀ rule of a matmul backward pass. Each
 // output cell is one dot product accumulated in a single register chain over
-// ascending j, so results are bitwise identical to MatMulNTAddInto and
-// independent of the 4-wide column unroll and the parallel row split.
+// ascending j, so results are bitwise identical to the naive reference
+// MatMulNTAddInto (blocked_test.go) and independent of the 4-wide column
+// unroll and the parallel row split.
 func MatMulNTBlockedAddInto(c, a, b []float64, m, k, p int) {
 	if len(c) != m*k || len(a) != m*p || len(b) != k*p {
 		panic("linalg: MatMulNTBlockedAddInto dimension mismatch")
@@ -232,7 +233,8 @@ func matMulNTAddRange(c, a, b []float64, i0, i1, k, p int) {
 // MatMulTNBlockedAddInto accumulates C += Aᵀ·B for row-major A [m,k],
 // B [m,p], C [k,p] — the dB = Aᵀ·dC rule. Parallelism splits the OUTPUT rows
 // (columns of A); every cell still accumulates over batch rows i in
-// ascending order, bitwise matching MatMulTNAddInto.
+// ascending order, bitwise matching the naive reference MatMulTNAddInto
+// (blocked_test.go).
 func MatMulTNBlockedAddInto(c, a, b []float64, m, k, p int) {
 	if len(c) != k*p || len(a) != m*k || len(b) != m*p {
 		panic("linalg: MatMulTNBlockedAddInto dimension mismatch")

@@ -8,6 +8,71 @@ import (
 	"repro/internal/rng"
 )
 
+// The naive triple loops below are the blocked kernels' reference: NT and
+// TN must match them bitwise, NN to a relative tolerance.
+
+// MatMulAddInto accumulates C += A·B for row-major A [m,k], B [k,p],
+// C [m,p]. Call ZeroInto(c) first for a plain product.
+func MatMulAddInto(c, a, b []float64, m, k, p int) {
+	if len(c) != m*p || len(a) != m*k || len(b) != k*p {
+		panic("linalg: MatMulAddInto dimension mismatch")
+	}
+	for i := 0; i < m; i++ {
+		arow := a[i*k : (i+1)*k]
+		crow := c[i*p : (i+1)*p]
+		for kk, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b[kk*p : (kk+1)*p]
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
+}
+
+// MatMulNTAddInto accumulates C += A·Bᵀ for row-major A [m,p], B [k,p],
+// C [m,k] — the dA = dC·Bᵀ rule of a matmul backward pass.
+func MatMulNTAddInto(c, a, b []float64, m, k, p int) {
+	if len(c) != m*k || len(a) != m*p || len(b) != k*p {
+		panic("linalg: MatMulNTAddInto dimension mismatch")
+	}
+	for i := 0; i < m; i++ {
+		arow := a[i*p : (i+1)*p]
+		crow := c[i*k : (i+1)*k]
+		for kk := 0; kk < k; kk++ {
+			brow := b[kk*p : (kk+1)*p]
+			s := 0.0
+			for j := 0; j < p; j++ {
+				s += arow[j] * brow[j]
+			}
+			crow[kk] += s
+		}
+	}
+}
+
+// MatMulTNAddInto accumulates C += Aᵀ·B for row-major A [m,k], B [m,p],
+// C [k,p] — the dB = Aᵀ·dC rule of a matmul backward pass.
+func MatMulTNAddInto(c, a, b []float64, m, k, p int) {
+	if len(c) != k*p || len(a) != m*k || len(b) != m*p {
+		panic("linalg: MatMulTNAddInto dimension mismatch")
+	}
+	for i := 0; i < m; i++ {
+		arow := a[i*k : (i+1)*k]
+		brow := b[i*p : (i+1)*p]
+		for kk, av := range arow {
+			if av == 0 {
+				continue
+			}
+			crow := c[kk*p : (kk+1)*p]
+			for j := 0; j < p; j++ {
+				crow[j] += av * brow[j]
+			}
+		}
+	}
+}
+
 func fillRand(r *rng.RNG, v []float64) {
 	for i := range v {
 		v[i] = r.NormFloat64()

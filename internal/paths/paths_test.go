@@ -13,8 +13,85 @@ import (
 	"repro/internal/topology"
 )
 
+// Dijkstra and KShortest expose the per-worker workspace's single-pair
+// searches to the tests; production reaches it only through NewPathSet.
+
+// Dijkstra returns the minimum-weight path from src to dst, honoring the
+// bannedNodes and bannedEdges sets (nil means nothing banned). The boolean
+// result reports whether a path exists.
+func Dijkstra(g *topology.Graph, src, dst int, bannedNodes map[int]bool, bannedEdges map[int]bool) (Path, bool) {
+	w := newWorkspace(g)
+	for v, b := range bannedNodes {
+		if b && v >= 0 && v < len(w.bannedNode) {
+			w.bannedNode[v] = true
+		}
+	}
+	for e, b := range bannedEdges {
+		if b && e >= 0 && e < len(w.bannedEdge) {
+			w.bannedEdge[e] = true
+		}
+	}
+	weight, ok := w.dijkstra(src, dst)
+	if !ok {
+		return Path{}, false
+	}
+	edges := make([]int, len(w.rev))
+	for i := range w.rev {
+		edges[i] = w.rev[len(w.rev)-1-i]
+	}
+	return Path{Edges: edges, Weight: weight}, true
+}
+
+// KShortest returns up to k loopless shortest paths from src to dst using
+// Yen's algorithm. Paths are ordered by increasing weight; ties are broken
+// deterministically by edge sequence.
+func KShortest(g *topology.Graph, src, dst, k int) []Path {
+	return newWorkspace(g).kShortest(src, dst, k)
+}
+
+// randomGraph returns a connected random graph: a random spanning tree plus
+// `extra` additional random bidirectional links, with capacities drawn
+// uniformly from [minCap, maxCap].
+func randomGraph(n, extra int, minCap, maxCap float64, r *rng.RNG) *topology.Graph {
+	if n < 2 {
+		panic("paths: randomGraph needs at least 2 nodes")
+	}
+	g := topology.New()
+	for i := 0; i < n; i++ {
+		g.AddNode(fmt.Sprintf("r%d", i))
+	}
+	// Random spanning tree: attach each node to a random earlier node.
+	perm := r.Perm(n)
+	for i := 1; i < n; i++ {
+		a := perm[i]
+		b := perm[r.Intn(i)]
+		g.AddBiEdge(a, b, r.Uniform(minCap, maxCap), 1)
+	}
+	have := make(map[[2]int]bool)
+	for _, e := range g.Edges() {
+		have[[2]int{e.Src, e.Dst}] = true
+	}
+	for added := 0; added < extra; {
+		a, b := r.Intn(n), r.Intn(n)
+		if a == b || have[[2]int{a, b}] {
+			continue
+		}
+		have[[2]int{a, b}] = true
+		have[[2]int{b, a}] = true
+		g.AddBiEdge(a, b, r.Uniform(minCap, maxCap), 1)
+		added++
+	}
+	return g
+}
+
 func TestDijkstraLine(t *testing.T) {
-	g := topology.Line(5, 10)
+	g := topology.New()
+	for i := 0; i < 5; i++ {
+		g.AddNode(fmt.Sprintf("n%d", i))
+	}
+	for i := 0; i+1 < 5; i++ {
+		g.AddBiEdge(i, i+1, 10, 1)
+	}
 	p, ok := Dijkstra(g, 0, 4, nil, nil)
 	if !ok {
 		t.Fatal("no path on a line graph")
@@ -125,7 +202,7 @@ func TestKShortestLoopless(t *testing.T) {
 func TestKShortestMatchesBruteForceOnRandom(t *testing.T) {
 	r := rng.New(77)
 	for trial := 0; trial < 8; trial++ {
-		g := topology.Random(6, 4, 1, 10, r)
+		g := randomGraph(6, 4, 1, 10, r)
 		src, dst := 0, 5
 		got := KShortest(g, src, dst, 3)
 		want := bruteForcePaths(g, src, dst, 3)
@@ -390,7 +467,7 @@ func unitGrid(r, c int) *topology.Graph {
 // weightedRandom is a random graph with distinct-ish edge weights, so paths
 // are ordered by weight rather than by tie-breaks.
 func weightedRandom(n, extra int, r *rng.RNG) *topology.Graph {
-	base := topology.Random(n, extra, 1, 10, r)
+	base := randomGraph(n, extra, 1, 10, r)
 	g := topology.New()
 	for i := 0; i < base.NumNodes(); i++ {
 		g.AddNode(base.NodeName(i))

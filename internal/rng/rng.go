@@ -122,11 +122,6 @@ func (r *RNG) ExpFloat64() float64 {
 	}
 }
 
-// LogNormal returns exp(mu + sigma*Z) for standard normal Z.
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -155,63 +150,6 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 		u := r.Float64()
 		if u > 0 {
 			return xm / math.Pow(u, 1/alpha)
-		}
-	}
-}
-
-// Dirichlet fills out with a Dirichlet(alpha, ..., alpha) sample of the given
-// length (a random point on the probability simplex).
-func (r *RNG) Dirichlet(alpha float64, out []float64) {
-	sum := 0.0
-	for i := range out {
-		g := r.Gamma(alpha)
-		out[i] = g
-		sum += g
-	}
-	if sum == 0 {
-		for i := range out {
-			out[i] = 1 / float64(len(out))
-		}
-		return
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-}
-
-// Gamma returns a Gamma(shape, 1) variate using Marsaglia-Tsang for
-// shape >= 1 and the boost trick for shape < 1.
-func (r *RNG) Gamma(shape float64) float64 {
-	if shape <= 0 {
-		panic("rng: Gamma with non-positive shape")
-	}
-	if shape < 1 {
-		// Gamma(a) = Gamma(a+1) * U^(1/a)
-		g := r.Gamma(shape + 1)
-		u := r.Float64()
-		for u == 0 {
-			u = r.Float64()
-		}
-		return g * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		var x, v float64
-		for {
-			x = r.NormFloat64()
-			v = 1 + c*x
-			if v > 0 {
-				break
-			}
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
 		}
 	}
 }

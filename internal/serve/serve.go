@@ -45,9 +45,6 @@ type Scenario struct {
 	Opaque bool `json:"opaque,omitempty"`
 	// FDStep overrides the finite-difference probe step (default 1e-4).
 	FDStep float64 `json:"fd_step,omitempty"`
-	// SparseRefresh overrides the incremental evaluators' full-recompute
-	// interval (0 = library default).
-	SparseRefresh int `json:"sparse_refresh,omitempty"`
 }
 
 // Budget bounds the gradient search. Zero fields inherit
@@ -493,8 +490,7 @@ func specDigest(spec *JobSpec) string {
 	} else {
 		fmt.Fprintf(h, "path:%s", spec.CheckpointPath)
 	}
-	fmt.Fprintf(h, "|opaque=%t fd=%g refresh=%d",
-		spec.Scenario.Opaque, spec.Scenario.FDStep, spec.Scenario.SparseRefresh)
+	fmt.Fprintf(h, "|opaque=%t fd=%g", spec.Scenario.Opaque, spec.Scenario.FDStep)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -777,9 +773,6 @@ func BuildFromCheckpoint(spec *JobSpec) (*core.AttackTarget, string, error) {
 	}
 	sc := spec.Scenario
 	if sc.Opaque {
-		if sc.SparseRefresh > 0 {
-			st.Model.SparseRefresh = sc.SparseRefresh
-		}
 		fd := sc.FDStep
 		if fd <= 0 {
 			fd = 1e-4

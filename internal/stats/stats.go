@@ -1,12 +1,11 @@
 // Package stats provides the small set of summary statistics the
-// evaluation code reports: means, extrema, percentiles and histograms.
+// evaluation code reports: means, extrema and percentiles.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary describes a sample of float64 values.
@@ -81,79 +80,4 @@ func (s Summary) String() string {
 	}
 	return fmt.Sprintf("n=%d mean=%.4g min=%.4g p50=%.4g p95=%.4g max=%.4g sd=%.3g",
 		s.N, s.Mean, s.Min, s.P50, s.P95, s.Max, s.StdDev)
-}
-
-// Histogram bins values into equal-width buckets over [lo, hi]; values
-// outside the range clamp to the edge buckets. NaN observations are dropped
-// and tallied in NaNs — the clamp path would otherwise sort them into an
-// edge bucket (NaN comparisons are all false) and silently skew the shape.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Total  int
-	// NaNs counts dropped NaN observations; they are excluded from Counts,
-	// Total and the CDF.
-	NaNs int
-}
-
-// NewHistogram allocates a histogram with the given number of buckets.
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if buckets <= 0 || hi <= lo {
-		panic("stats: bad histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, buckets)}
-}
-
-// Add records one observation. NaN is counted in NaNs and otherwise ignored.
-func (h *Histogram) Add(v float64) {
-	if math.IsNaN(v) {
-		h.NaNs++
-		return
-	}
-	frac := (v - h.Lo) / (h.Hi - h.Lo)
-	idx := int(frac * float64(len(h.Counts)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-	h.Total++
-}
-
-// CDF returns the cumulative fraction at each bucket's upper edge.
-func (h *Histogram) CDF() []float64 {
-	out := make([]float64, len(h.Counts))
-	run := 0
-	for i, c := range h.Counts {
-		run += c
-		if h.Total > 0 {
-			out[i] = float64(run) / float64(h.Total)
-		}
-	}
-	return out
-}
-
-// ASCII renders the histogram as a bar chart for terminal reports.
-func (h *Histogram) ASCII(width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	maxC := 0
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range h.Counts {
-		lo := h.Lo + (h.Hi-h.Lo)*float64(i)/float64(len(h.Counts))
-		bar := 0
-		if maxC > 0 {
-			bar = c * width / maxC
-		}
-		fmt.Fprintf(&b, "%8.3g | %s %d\n", lo, strings.Repeat("#", bar), c)
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -101,70 +100,4 @@ func TestPercentilePropertyMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0.5, 1, 3, 7, 9.9, -5, 100} {
-		h.Add(v)
-	}
-	if h.Total != 7 {
-		t.Fatalf("total = %d", h.Total)
-	}
-	// -5 clamps to bucket 0; 100 clamps to bucket 4.
-	if h.Counts[0] != 3 { // 0.5, 1, -5
-		t.Fatalf("bucket 0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9.9, 100
-		t.Fatalf("bucket 4 = %d, want 2", h.Counts[4])
-	}
-	cdf := h.CDF()
-	if cdf[len(cdf)-1] != 1 {
-		t.Fatal("CDF must end at 1")
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i] < cdf[i-1] {
-			t.Fatal("CDF not monotone")
-		}
-	}
-	if !strings.Contains(h.ASCII(20), "#") {
-		t.Fatal("ASCII histogram empty")
-	}
-}
-
-// TestHistogramNaN: a NaN observation must not land in an edge bucket via
-// the clamp path (every NaN comparison is false, so the old code clamped it
-// into the last bucket); it is dropped and tallied separately.
-func TestHistogramNaN(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(5)
-	h.Add(math.NaN())
-	h.Add(math.NaN())
-	if h.Total != 1 {
-		t.Fatalf("Total = %d, want 1 (NaN must not count)", h.Total)
-	}
-	if h.NaNs != 2 {
-		t.Fatalf("NaNs = %d, want 2", h.NaNs)
-	}
-	for i, c := range h.Counts {
-		want := 0
-		if i == 2 {
-			want = 1
-		}
-		if c != want {
-			t.Fatalf("bucket %d = %d, want %d", i, c, want)
-		}
-	}
-	if cdf := h.CDF(); cdf[len(cdf)-1] != 1 {
-		t.Fatal("CDF must still normalize over non-NaN observations")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad histogram accepted")
-		}
-	}()
-	NewHistogram(1, 0, 5)
 }

@@ -8,32 +8,18 @@ import (
 	"repro/internal/paths"
 )
 
-// DefaultRefreshEvery is the committed-update count after which an
-// IncrementalEvaluator performs an automatic full recompute. Each committed
-// delta perturbs the resident link loads by at most a few ulps, so the
-// worst-case relative drift after n updates is O(n·ε); 4096 keeps it far
-// below the 1e-9 equivalence tolerance the property tests pin.
-const DefaultRefreshEvery = 4096
-
 // IncrementalEvaluator keeps the link loads, utilizations, and MLU of one
 // (traffic matrix, splits) operating point resident and updates them in time
 // proportional to what changed rather than to topology size.
 //
-// Two mutation families with different accuracy contracts:
-//
-//   - SetDemand/SetSplit COMMIT a delta: only the links on the affected
-//     pair's (or slot's) paths are adjusted, and the max is maintained via a
-//     bounded recompute set — an O(E) rescan happens only when the argmax
-//     link itself decreases. Committed deltas accumulate floating-point
-//     drift, bounded by an automatic full recompute every RefreshEvery
-//     updates (and on demand via Refresh).
-//
-//   - ProbeDemand/ProbeSplit evaluate the MLU at a perturbed point WITHOUT
-//     mutating the evaluator. Touched links are recomputed from scratch in
-//     slot order, so immediately after Rebase/Refresh a probe is bitwise
-//     identical to a full pipeline evaluation at the probed point — the
-//     property that lets the sparse finite-difference fast path reproduce
-//     the dense search trajectory exactly.
+// Rebase sets the operating point with a full recompute. ProbeDemand and
+// ProbeSplit evaluate the MLU at a perturbed point WITHOUT mutating the
+// evaluator: touched links are recomputed from scratch in slot order, so a
+// probe is bitwise identical to a full pipeline evaluation at the probed
+// point — the property that lets the sparse finite-difference fast path
+// reproduce the dense search trajectory exactly. The max is maintained via a
+// bounded recompute set; an O(E) rescan happens only when the argmax link
+// itself decreases.
 //
 // The zero-demand convention matches the routing kernels: slots whose flow
 // is exactly zero are skipped, so skipped and added-as-zero terms agree
@@ -65,17 +51,13 @@ type IncrementalEvaluator struct {
 	maxU  float64
 	arg   int
 
-	applied      int
-	RefreshEvery int
-
-	// probe/update scratch, reset after every operation
+	// probe scratch, reset after every operation
 	touched []int
 	mark    []bool
 	probeU  []float64
 
 	// telemetry handles; nil when uninstrumented (obs no-op contract)
 	cProbes    *obs.Counter
-	cUpdates   *obs.Counter
 	cRefreshes *obs.Counter
 	cRescans   *obs.Counter
 	hProbeNS   *obs.Histogram
@@ -90,20 +72,19 @@ func NewIncrementalEvaluator(ps *paths.PathSet) *IncrementalEvaluator {
 	offsets, total := ps.Offsets()
 	nE := g.NumEdges()
 	ev := &IncrementalEvaluator{
-		ps:           ps,
-		offsets:      offsets,
-		nPairs:       ps.NumPairs(),
-		nSlots:       total,
-		slotPair:     make([]int, total),
-		slotEdges:    make([][]int, total),
-		caps:         make([]float64, nE),
-		tm:           make([]float64, ps.NumPairs()),
-		s:            make([]float64, total),
-		loads:        make([]float64, nE),
-		util:         make([]float64, nE),
-		mark:         make([]bool, nE),
-		probeU:       make([]float64, nE),
-		RefreshEvery: DefaultRefreshEvery,
+		ps:        ps,
+		offsets:   offsets,
+		nPairs:    ps.NumPairs(),
+		nSlots:    total,
+		slotPair:  make([]int, total),
+		slotEdges: make([][]int, total),
+		caps:      make([]float64, nE),
+		tm:        make([]float64, ps.NumPairs()),
+		s:         make([]float64, total),
+		loads:     make([]float64, nE),
+		util:      make([]float64, nE),
+		mark:      make([]bool, nE),
+		probeU:    make([]float64, nE),
 	}
 	for i, pp := range ps.PairPaths {
 		for k, path := range pp {
@@ -138,18 +119,17 @@ func NewIncrementalEvaluator(ps *paths.PathSet) *IncrementalEvaluator {
 }
 
 // Instrument attaches (reg non-nil) or detaches (reg nil) telemetry:
-// counters te.incr.probes / te.incr.updates / te.incr.refreshes /
-// te.incr.rescans and latency histograms te.incr.probe.ns / te.incr.full.ns.
+// counters te.incr.probes / te.incr.refreshes / te.incr.rescans and latency
+// histograms te.incr.probe.ns / te.incr.full.ns.
 // Timing is only taken when instrumented, so the uninstrumented hot path
 // pays one nil check.
 func (ev *IncrementalEvaluator) Instrument(reg *obs.Registry) {
 	if reg == nil {
-		ev.cProbes, ev.cUpdates, ev.cRefreshes, ev.cRescans = nil, nil, nil, nil
+		ev.cProbes, ev.cRefreshes, ev.cRescans = nil, nil, nil
 		ev.hProbeNS, ev.hFullNS = nil, nil
 		return
 	}
 	ev.cProbes = reg.Counter("te.incr.probes")
-	ev.cUpdates = reg.Counter("te.incr.updates")
 	ev.cRefreshes = reg.Counter("te.incr.refreshes")
 	ev.cRescans = reg.Counter("te.incr.rescans")
 	ev.hProbeNS = reg.Histogram("te.incr.probe.ns")
@@ -167,14 +147,6 @@ func (ev *IncrementalEvaluator) Rebase(tm TrafficMatrix, s Splits) {
 	copy(ev.tm, tm)
 	copy(ev.s, s)
 	ev.recompute()
-	ev.applied = 0
-}
-
-// Refresh forces a full recompute from the resident operating point,
-// discarding any accumulated floating-point drift.
-func (ev *IncrementalEvaluator) Refresh() {
-	ev.recompute()
-	ev.applied = 0
 }
 
 func (ev *IncrementalEvaluator) recompute() {
@@ -212,113 +184,6 @@ func (ev *IncrementalEvaluator) recompute() {
 // MLU returns the resident maximum link utilization and its edge ID.
 func (ev *IncrementalEvaluator) MLU() (float64, int) { return ev.maxU, ev.arg }
 
-// LinkLoads returns the resident per-edge loads. The slice is owned by the
-// evaluator and valid until the next mutation; callers must not modify it.
-func (ev *IncrementalEvaluator) LinkLoads() []float64 { return ev.loads }
-
-// Utilizations returns the resident per-edge utilizations under the same
-// borrowing contract as LinkLoads.
-func (ev *IncrementalEvaluator) Utilizations() []float64 { return ev.util }
-
-// Demand returns the resident demand of a pair.
-func (ev *IncrementalEvaluator) Demand(pair int) float64 { return ev.tm[pair] }
-
-// Split returns the resident split ratio of a path slot.
-func (ev *IncrementalEvaluator) Split(slot int) float64 { return ev.s[slot] }
-
-// SetDemand commits demand pair := v, adjusting only the links on that
-// pair's paths.
-func (ev *IncrementalEvaluator) SetDemand(pair int, v float64) {
-	delta := v - ev.tm[pair]
-	ev.tm[pair] = v
-	if delta != 0 {
-		lo, hi := ev.slotRange(pair)
-		for slot := lo; slot < hi; slot++ {
-			sv := ev.s[slot]
-			if sv == 0 {
-				continue
-			}
-			f := delta * sv
-			for _, e := range ev.slotEdges[slot] {
-				ev.loads[e] += f
-				if !ev.mark[e] {
-					ev.mark[e] = true
-					ev.touched = append(ev.touched, e)
-				}
-			}
-		}
-		ev.commitTouched()
-	}
-	ev.finishUpdate()
-}
-
-// SetSplit commits split slot := v, adjusting only that slot's links.
-func (ev *IncrementalEvaluator) SetSplit(slot int, v float64) {
-	delta := v - ev.s[slot]
-	ev.s[slot] = v
-	if f := ev.tm[ev.slotPair[slot]] * delta; f != 0 {
-		for _, e := range ev.slotEdges[slot] {
-			ev.loads[e] += f
-			if !ev.mark[e] {
-				ev.mark[e] = true
-				ev.touched = append(ev.touched, e)
-			}
-		}
-		ev.commitTouched()
-	}
-	ev.finishUpdate()
-}
-
-// commitTouched refreshes utilizations on the touched set, maintains the
-// max, and clears the scratch.
-func (ev *IncrementalEvaluator) commitTouched() {
-	for _, e := range ev.touched {
-		ev.util[e] = ev.loads[e] / ev.caps[e]
-	}
-	switch {
-	case !ev.mark[ev.arg]:
-		// The argmax link is untouched, so it still dominates every other
-		// untouched link; only the touched set can beat it.
-		for _, e := range ev.touched {
-			if ev.util[e] > ev.maxU {
-				ev.maxU, ev.arg = ev.util[e], e
-			}
-		}
-	case ev.util[ev.arg] >= ev.maxU:
-		// The argmax link moved but did not decrease: it still dominates the
-		// untouched links, so scanning the touched set suffices.
-		ev.maxU = ev.util[ev.arg]
-		for _, e := range ev.touched {
-			if ev.util[e] > ev.maxU {
-				ev.maxU, ev.arg = ev.util[e], e
-			}
-		}
-	default:
-		// The argmax link decreased: any link may now be the max — the one
-		// bounded O(E) rescan in the design.
-		ev.cRescans.Inc()
-		ev.maxU, ev.arg = ev.util[0], 0
-		for e := 1; e < len(ev.util); e++ {
-			if ev.util[e] > ev.maxU {
-				ev.maxU, ev.arg = ev.util[e], e
-			}
-		}
-	}
-	for _, e := range ev.touched {
-		ev.mark[e] = false
-	}
-	ev.touched = ev.touched[:0]
-}
-
-func (ev *IncrementalEvaluator) finishUpdate() {
-	ev.cUpdates.Inc()
-	ev.applied++
-	if ev.RefreshEvery > 0 && ev.applied >= ev.RefreshEvery {
-		ev.recompute()
-		ev.applied = 0
-	}
-}
-
 func (ev *IncrementalEvaluator) slotRange(pair int) (lo, hi int) {
 	lo = ev.offsets[pair]
 	if pair+1 < len(ev.offsets) {
@@ -329,8 +194,8 @@ func (ev *IncrementalEvaluator) slotRange(pair int) (lo, hi int) {
 
 // ProbeDemand returns the MLU at the point where demand pair is perturbed by
 // delta, without mutating the evaluator. Touched links are recomputed from
-// scratch, so right after Rebase/Refresh the result is bitwise identical to
-// a full evaluation at the perturbed point.
+// scratch, so the result is bitwise identical to a full evaluation at the
+// perturbed point.
 func (ev *IncrementalEvaluator) ProbeDemand(pair int, delta float64) float64 {
 	var t0 time.Time
 	if ev.hProbeNS != nil {
@@ -504,8 +369,10 @@ func (ev *IncrementalEvaluator) DemandProbeCanMoveMax(pair int, h float64) bool 
 }
 
 // probeMax computes the max utilization at the probed point: resident values
-// on untouched links, probeU on touched ones. Same bounded-recompute logic
-// as commitTouched, functionally.
+// on untouched links, probeU on touched ones. An untouched argmax still
+// dominates every untouched link, so only the touched set can beat it; a
+// touched argmax that did not decrease likewise; only a decreased argmax
+// forces the one O(E) rescan.
 func (ev *IncrementalEvaluator) probeMax() float64 {
 	if len(ev.touched) == 0 {
 		return ev.maxU

@@ -10,20 +10,12 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/lp"
 	"repro/internal/paths"
 )
 
 // TrafficMatrix holds one demand value per ordered source-destination pair,
 // indexed consistently with PathSet.Pairs.
 type TrafficMatrix []float64
-
-// Clone returns a deep copy.
-func (tm TrafficMatrix) Clone() TrafficMatrix {
-	c := make(TrafficMatrix, len(tm))
-	copy(c, tm)
-	return c
-}
 
 // Total returns the sum of all demands.
 func (tm TrafficMatrix) Total() float64 {
@@ -32,14 +24,6 @@ func (tm TrafficMatrix) Total() float64 {
 		s += d
 	}
 	return s
-}
-
-// Scale multiplies every demand by alpha in place and returns tm.
-func (tm TrafficMatrix) Scale(alpha float64) TrafficMatrix {
-	for i := range tm {
-		tm[i] *= alpha
-	}
-	return tm
 }
 
 // Max returns the largest demand.
@@ -134,16 +118,6 @@ func LinkLoads(ps *paths.PathSet, tm TrafficMatrix, s Splits) []float64 {
 	return loads
 }
 
-// Utilizations divides loads by capacities.
-func Utilizations(ps *paths.PathSet, loads []float64) []float64 {
-	g := ps.Graph
-	u := make([]float64, len(loads))
-	for i := range loads {
-		u[i] = loads[i] / g.Edge(i).Capacity
-	}
-	return u
-}
-
 // MLU returns the maximum link utilization when routing tm with splits s,
 // along with the ID of the most utilized edge.
 func MLU(ps *paths.PathSet, tm TrafficMatrix, s Splits) (float64, int) {
@@ -177,72 +151,6 @@ func OptimalMLU(ps *paths.PathSet, tm TrafficMatrix) (float64, Splits, error) {
 // cancellation surfaces as ctx.Err().
 func OptimalMLUCtx(ctx context.Context, ps *paths.PathSet, tm TrafficMatrix) (float64, Splits, error) {
 	return solverFor(ps).SolveCtx(ctx, tm)
-}
-
-// NormalizeToUnitMLU scales tm so its optimal MLU equals one — the
-// normalization the paper uses to move from Eq. 2 to the convex feasible
-// space of Eq. 3. Returns the scaled matrix and the applied factor.
-// A zero matrix is returned unchanged with factor 1.
-func NormalizeToUnitMLU(ps *paths.PathSet, tm TrafficMatrix) (TrafficMatrix, float64, error) {
-	opt, _, err := OptimalMLU(ps, tm)
-	if err != nil {
-		return nil, 0, err
-	}
-	if opt <= 0 {
-		return tm.Clone(), 1, nil
-	}
-	factor := 1 / opt
-	return tm.Clone().Scale(factor), factor, nil
-}
-
-// MaxTotalFlow solves the maximum total routed flow LP of §4 ("Other TE
-// Objectives"): each pair may route at most its demand, links respect
-// capacity, and the objective is the total routed volume.
-func MaxTotalFlow(ps *paths.PathSet, tm TrafficMatrix) (float64, error) {
-	g := ps.Graph
-	off, total := ps.Offsets()
-	p := lp.NewProblem()
-	fs := make([]lp.VarID, total)
-	obj := lp.NewExpr()
-	for i, pp := range ps.PairPaths {
-		if tm[i] == 0 || len(pp) == 0 {
-			continue
-		}
-		capExpr := lp.NewExpr()
-		for k := range pp {
-			fs[off[i]+k] = p.AddVariable("", 0, math.Inf(1))
-			capExpr.Add(1, fs[off[i]+k])
-			obj.Add(1, fs[off[i]+k])
-		}
-		p.AddConstraint("", capExpr, lp.LE, tm[i])
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		expr := lp.NewExpr()
-		any := false
-		for i, pp := range ps.PairPaths {
-			if tm[i] == 0 {
-				continue
-			}
-			for k, path := range pp {
-				for _, eid := range path.Edges {
-					if eid == e {
-						expr.Add(1, fs[off[i]+k])
-						any = true
-						break
-					}
-				}
-			}
-		}
-		if any {
-			p.AddConstraint("", expr, lp.LE, g.Edge(e).Capacity)
-		}
-	}
-	p.SetObjective(lp.Maximize, obj)
-	sol := p.Solve()
-	if sol.Status != lp.StatusOptimal {
-		return 0, &StatusError{Op: "max total flow", Status: sol.Status}
-	}
-	return sol.Objective, nil
 }
 
 // DeliveredFlow returns the total traffic actually delivered when routing

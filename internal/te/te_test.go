@@ -10,6 +10,32 @@ import (
 	"repro/internal/topology"
 )
 
+// Clone returns a deep copy.
+func (tm TrafficMatrix) Clone() TrafficMatrix {
+	c := make(TrafficMatrix, len(tm))
+	copy(c, tm)
+	return c
+}
+
+// Scale multiplies every demand by alpha in place and returns tm.
+func (tm TrafficMatrix) Scale(alpha float64) TrafficMatrix {
+	for i := range tm {
+		tm[i] *= alpha
+	}
+	return tm
+}
+
+// Utilizations divides loads by capacities: the reference the incremental
+// evaluator's probes are compared against.
+func Utilizations(ps *paths.PathSet, loads []float64) []float64 {
+	g := ps.Graph
+	u := make([]float64, len(loads))
+	for i := range loads {
+		u[i] = loads[i] / g.Edge(i).Capacity
+	}
+	return u
+}
+
 func trianglePS() *paths.PathSet {
 	return paths.NewPathSet(topology.Triangle(), 4)
 }
@@ -221,29 +247,6 @@ func TestOptimalMLUScalesLinearly(t *testing.T) {
 	}
 }
 
-func TestNormalizeToUnitMLU(t *testing.T) {
-	ps := abilenePS()
-	r := rng.New(7)
-	tm := make(TrafficMatrix, ps.NumPairs())
-	for i := range tm {
-		tm[i] = 0.1 + r.Float64()
-	}
-	norm, factor, err := NormalizeToUnitMLU(ps, tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, _, err := OptimalMLU(ps, norm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(opt-1) > 1e-5 {
-		t.Fatalf("normalized optimal MLU = %v, want 1", opt)
-	}
-	if factor <= 0 {
-		t.Fatalf("factor = %v, want positive", factor)
-	}
-}
-
 func TestZeroTrafficMatrix(t *testing.T) {
 	ps := trianglePS()
 	tm := make(TrafficMatrix, ps.NumPairs())
@@ -256,31 +259,6 @@ func TestZeroTrafficMatrix(t *testing.T) {
 	}
 	if err := ValidateSplits(ps, splits); err != nil {
 		t.Fatal(err)
-	}
-	norm, factor, err := NormalizeToUnitMLU(ps, tm)
-	if err != nil || factor != 1 || norm.Total() != 0 {
-		t.Fatalf("zero TM normalization wrong: %v %v %v", norm, factor, err)
-	}
-}
-
-func TestMaxTotalFlow(t *testing.T) {
-	ps := trianglePS()
-	tm := figure3TM(ps)
-	flow, err := MaxTotalFlow(ps, tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All 200 units are routable (optimal MLU is 1).
-	if math.Abs(flow-200) > 1e-5 {
-		t.Fatalf("max total flow = %v, want 200", flow)
-	}
-	// Triple demands: only 200 can still leave node 1.
-	flow3, err := MaxTotalFlow(ps, tm.Clone().Scale(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(flow3-200) > 1e-5 {
-		t.Fatalf("max total flow under overload = %v, want 200", flow3)
 	}
 }
 

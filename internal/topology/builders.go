@@ -1,10 +1,6 @@
 package topology
 
-import (
-	"fmt"
-
-	"repro/internal/rng"
-)
+import "fmt"
 
 // Abilene returns the Internet2 Abilene backbone used in §5 of the paper:
 // 11 PoPs and 14 bidirectional links (28 directed edges). Capacities follow
@@ -126,72 +122,5 @@ func Geant() *Graph {
 	link("SE", "NO", edge)
 	link("GR", "IL", edge)
 	link("SE", "DE", core)
-	return g
-}
-
-// Line returns a path graph with n nodes and uniform capacities.
-func Line(n int, capacity float64) *Graph {
-	g := New()
-	for i := 0; i < n; i++ {
-		g.AddNode(fmt.Sprintf("n%d", i))
-	}
-	for i := 0; i+1 < n; i++ {
-		g.AddBiEdge(i, i+1, capacity, 1)
-	}
-	return g
-}
-
-// Ring returns a cycle graph with n nodes and uniform capacities.
-func Ring(n int, capacity float64) *Graph {
-	g := Line(n, capacity)
-	if n > 2 {
-		g.AddBiEdge(n-1, 0, capacity, 1)
-	}
-	return g
-}
-
-// Star returns a hub-and-spoke graph: node 0 is the hub.
-func Star(spokes int, capacity float64) *Graph {
-	g := New()
-	hub := g.AddNode("hub")
-	for i := 0; i < spokes; i++ {
-		s := g.AddNode(fmt.Sprintf("spoke%d", i))
-		g.AddBiEdge(hub, s, capacity, 1)
-	}
-	return g
-}
-
-// Random returns a connected random graph: a random spanning tree plus
-// `extra` additional random bidirectional links, with capacities drawn
-// uniformly from [minCap, maxCap].
-func Random(n, extra int, minCap, maxCap float64, r *rng.RNG) *Graph {
-	if n < 2 {
-		panic("topology: Random needs at least 2 nodes")
-	}
-	g := New()
-	for i := 0; i < n; i++ {
-		g.AddNode(fmt.Sprintf("r%d", i))
-	}
-	// Random spanning tree: attach each node to a random earlier node.
-	perm := r.Perm(n)
-	for i := 1; i < n; i++ {
-		a := perm[i]
-		b := perm[r.Intn(i)]
-		g.AddBiEdge(a, b, r.Uniform(minCap, maxCap), 1)
-	}
-	have := make(map[[2]int]bool)
-	for _, e := range g.Edges() {
-		have[[2]int{e.Src, e.Dst}] = true
-	}
-	for added := 0; added < extra; {
-		a, b := r.Intn(n), r.Intn(n)
-		if a == b || have[[2]int{a, b}] {
-			continue
-		}
-		have[[2]int{a, b}] = true
-		have[[2]int{b, a}] = true
-		g.AddBiEdge(a, b, r.Uniform(minCap, maxCap), 1)
-		added++
-	}
 	return g
 }

@@ -1,7 +1,7 @@
 // Package topology models directed capacitated networks and provides the
 // concrete topologies the paper's evaluation uses: the Abilene backbone
-// (§5), the three-node example of Figure 3, and several synthetic shapes
-// used by tests and ablations.
+// (§5), the three-node example of Figure 3, GÉANT- and B4-like networks,
+// and seeded Waxman / preferential-attachment generators for scale runs.
 package topology
 
 import (
@@ -28,7 +28,6 @@ type Graph struct {
 	nameIdx map[string]int
 	edges   []Edge
 	out     [][]int // node -> edge IDs leaving it
-	in      [][]int // node -> edge IDs entering it
 }
 
 // New returns an empty graph.
@@ -46,7 +45,6 @@ func (g *Graph) AddNode(name string) int {
 	g.names = append(g.names, name)
 	g.nameIdx[name] = i
 	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
 	return i
 }
 
@@ -64,7 +62,6 @@ func (g *Graph) AddEdge(src, dst int, capacity, weight float64) int {
 	id := len(g.edges)
 	g.edges = append(g.edges, Edge{ID: id, Src: src, Dst: dst, Capacity: capacity, Weight: weight})
 	g.out[src] = append(g.out[src], id)
-	g.in[dst] = append(g.in[dst], id)
 	return id
 }
 
@@ -93,9 +90,6 @@ func (g *Graph) Edges() []Edge {
 // Out returns the IDs of edges leaving node n (shared storage; do not mutate).
 func (g *Graph) Out(n int) []int { return g.out[n] }
 
-// In returns the IDs of edges entering node n (shared storage; do not mutate).
-func (g *Graph) In(n int) []int { return g.in[n] }
-
 // NodeName returns the name of node i.
 func (g *Graph) NodeName(i int) string { return g.names[i] }
 
@@ -120,15 +114,6 @@ func (g *Graph) AvgLinkCapacity() float64 {
 	return s / float64(len(g.edges))
 }
 
-// TotalCapacity returns the sum of all edge capacities.
-func (g *Graph) TotalCapacity() float64 {
-	s := 0.0
-	for _, e := range g.edges {
-		s += e.Capacity
-	}
-	return s
-}
-
 // Pair identifies an ordered source-destination demand pair.
 type Pair struct {
 	Src, Dst int
@@ -147,36 +132,6 @@ func (g *Graph) AllPairs() []Pair {
 		}
 	}
 	return pairs
-}
-
-// IsConnected reports whether every node can reach every other node.
-func (g *Graph) IsConnected() bool {
-	n := g.NumNodes()
-	if n == 0 {
-		return true
-	}
-	for s := 0; s < n; s++ {
-		seen := make([]bool, n)
-		stack := []int{s}
-		seen[s] = true
-		count := 1
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, eid := range g.out[u] {
-				v := g.edges[eid].Dst
-				if !seen[v] {
-					seen[v] = true
-					count++
-					stack = append(stack, v)
-				}
-			}
-		}
-		if count != n {
-			return false
-		}
-	}
-	return true
 }
 
 // WriteTo serializes the graph in the text format understood by Parse:
