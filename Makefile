@@ -47,10 +47,11 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -out $(BENCHJSON_OUT) $(if $(BENCHJSON_BASELINE),-compare $(BENCHJSON_BASELINE))
 
 # bench-lp archives the sparse revised-simplex benchmarks — revised vs the
-# dense test oracle on cold transport solves and on Abilene/GÉANT optimal-MLU
-# solves (cold and warm), and the 100-node Waxman acceptance point — then runs
-# the -race leg over the revised paths (concurrent pooled-solver borrow plus
-# live stats scraping).
+# dense test oracle on cold transport solves and on cold Abilene/GÉANT
+# optimal-MLU solves (every production LP solve is cold; only the dense
+# oracle also runs a warm sequence), and the 100-node Waxman acceptance
+# point — then runs the -race leg over the revised paths (concurrent
+# pooled-solver borrow plus live stats scraping).
 bench-lp:
 	{ $(GO) test -run xxx -benchtime $(BENCHTIME) -benchmem \
 		-bench 'BenchmarkColdSolve|BenchmarkMLUEngines' ./internal/lp/ ; \
@@ -59,8 +60,10 @@ bench-lp:
 		| $(GO) run ./cmd/benchjson -out $(BENCHLP_OUT) $(if $(BENCHLP_BASELINE),-compare $(BENCHLP_BASELINE))
 	$(GO) test -race -run 'Revised' ./internal/lp/ ./internal/te/
 
-# bench-milp archives the warm-started branch-and-bound headline: packing
-# node throughput of the warm engine vs the cold-clone test oracle, the
+# bench-milp archives the branch-and-bound headline: packing node throughput
+# of the engine, whose child nodes re-solve their bounds from the parent's
+# saved basis while every other LP solve is cold, vs the cold-clone test
+# oracle, the
 # end-to-end alloc attack, and the serve.Pool searches/hour fleet number —
 # then runs the -race leg over concurrent MILP solves sharing the solver
 # and basis pools.

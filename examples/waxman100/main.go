@@ -1,8 +1,8 @@
 // Example waxman100 solves the checked-in 100-node Waxman benchmark inputs
 // (topology.txt + tms.txt, grown by cmd/tegen) with the sparse revised-simplex
 // engine: the MLU LP here has ~10,300 rows and ~40,000 columns, a size where
-// the dense tableau would need gigabytes. The first epoch is a cold solve;
-// the rest warm-start from the retained factorized basis.
+// the dense tableau would need gigabytes. Every epoch is a cold solve, so
+// each MLU depends on its own traffic matrix only.
 //
 // Regenerate the inputs with:
 //
@@ -61,8 +61,8 @@ func main() {
 			e, mlu, achieved, time.Since(t0).Round(time.Millisecond))
 	}
 	st := s.Stats()
-	fmt.Printf("stats: %d solves, %d pivots (phase1 %d, phase2 %d), %d refactors, %d warm hits\n",
-		st.Solves, st.Pivots, st.Phase1Pivots, st.Phase2Pivots, st.Refactors, st.WarmHits)
+	fmt.Printf("stats: %d solves, %d pivots (phase1 %d, phase2 %d), %d refactors\n",
+		st.Solves, st.Pivots, st.Phase1Pivots, st.Phase2Pivots, st.Refactors)
 }
 
 func check(err error) {

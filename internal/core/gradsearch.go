@@ -84,7 +84,7 @@ type GradientConfig struct {
 	// Obs, when non-nil, receives search telemetry: per-stage pipeline
 	// timings (see Pipeline.Instrument), the step/reject/fault counters
 	// summed over restarts ("search.steps" etc.; per-restart detail is in
-	// SearchResult.Restarts), LP solve latency and warm-start counters from
+	// SearchResult.Restarts), LP solve latency, solve and pivot counters from
 	// the traffic-engineering solver, and the search-level improvement
 	// count. The registry's snapshot is attached to the result as
 	// SearchResult.Telemetry. Nil keeps every hot path on its
@@ -331,11 +331,8 @@ func GradientSearchContext(ctx context.Context, target *AttackTarget, cfg Gradie
 		if target.PS != nil {
 			delta := te.SolverStatsFor(target.PS).Sub(lpBefore)
 			cfg.Obs.Counter("lp.solves").Add(delta.Solves)
-			cfg.Obs.Counter("lp.warm_attempts").Add(delta.WarmAttempts)
-			cfg.Obs.Counter("lp.warm_hits").Add(delta.WarmHits)
 			cfg.Obs.Counter("lp.cold_solves").Add(delta.ColdSolves)
 			cfg.Obs.Counter("lp.pivots").Add(delta.Pivots)
-			cfg.Obs.Gauge("lp.warm_hit_ratio").Set(delta.WarmHitRatio())
 		}
 		if cfg.EvalCache != nil {
 			d := cfg.EvalCache.Stats().Sub(cacheBefore)

@@ -1,13 +1,15 @@
 package core_test
 
-// Golden pins of two fixed-seed searches: a change to the search engine
+// Golden pins of three fixed-seed searches: a change to the search engine
 // that moves any restart's trajectory moves one of these values. The
-// triangle search runs its restarts as one lock-step group; the allocator
-// search (MILP oracle, no TE LP) runs them as one-restart groups. The
-// triangle search scores with the system MLU (deterministicScore): an
-// LP-scored ratio can differ in its last bits with the warm basis a pooled
-// solver happens to hold, which garbage collection timing changes. For the
-// same reason its model is untrained (see untrainedTriangleModel).
+// triangle search runs its restarts as one lock-step group on an untrained
+// model scored by the system MLU alone (deterministicScore), so it pins the
+// search engine without any LP. The Abilene search pins the whole chain: a
+// model trained against LP optima, searched with LP-scored ratios. It holds
+// bit for bit only because every optimal-MLU solve is cold, whatever pooled
+// solver runs it and whenever the garbage collector empties the pool. The
+// allocator search (MILP oracle, no TE LP) runs its restarts as one-restart
+// groups.
 
 import (
 	"hash/fnv"
@@ -18,7 +20,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/dote"
 	"repro/internal/paths"
+	"repro/internal/rng"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 type goldenSearch struct {
@@ -82,14 +86,30 @@ func checkGolden(t *testing.T, res *core.SearchResult, want goldenSearch) {
 }
 
 // untrainedTriangleModel is trainedTriangleModel without the training: its
-// weights come from the model seed alone. Training divides by LP optima
-// whose last bits depend on the warm basis a pooled solver holds, and under
-// -race sync.Pool drops items at random, so a trained model is not bitwise
-// reproducible there; this pin covers the search engine, not the LP.
+// weights come from the model seed alone, so this pin covers the search
+// engine, not the LP.
 func untrainedTriangleModel() *dote.Model {
 	cfg := dote.DefaultConfig(dote.Curr)
 	cfg.Hidden = []int{16}
 	return dote.New(paths.NewPathSet(topology.Triangle(), 2), cfg)
+}
+
+// trainedAbileneModel is a small DOTE-Curr model on Abilene, trained for a
+// few epochs against LP optima.
+func trainedAbileneModel(t *testing.T) *dote.Model {
+	t.Helper()
+	ps := paths.NewPathSet(topology.Abilene(), 4)
+	cfg := dote.DefaultConfig(dote.Curr)
+	cfg.Hidden = []int{16}
+	m := dote.New(ps, cfg)
+	gen := traffic.NewGravity(ps, 0.3, rng.New(4))
+	opts := dote.DefaultTrainOptions()
+	opts.Epochs = 4
+	opts.LR = 3e-3
+	if _, err := dote.Train(m, traffic.CurrWindows(traffic.Sequence(gen, 24)), opts); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestSearchGolden(t *testing.T) {
@@ -120,6 +140,31 @@ func TestSearchGolden(t *testing.T) {
 			},
 			restarts: []goldenRestart{
 				{60, core.StopConverged}, {60, core.StopConverged}, {60, core.StopConverged}, {60, core.StopConverged},
+			},
+		})
+	})
+	t.Run("abilene-trained", func(t *testing.T) {
+		m := trainedAbileneModel(t)
+		cfg := core.DefaultGradientConfig()
+		cfg.Iters = 30
+		cfg.Restarts = 3
+		cfg.EvalEvery = 3
+		cfg.Patience = 3
+		cfg.Seed = 7
+		res, err := core.GradientSearch(target(m), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, res, goldenSearch{
+			ratio: 0x4017471c9db1d696, sys: 0x4023309d3671acc4, opt: 0x3ffa6160c9092473,
+			bestX: 0x7835f34ecd5fec8f,
+			evals: [3]int{23, 69, 23},
+			trace: []goldenTrace{
+				{2, 0x400ac6c853f0aeb2}, {2, 0x401409f2d2133369}, {5, 0x40158fb5b511641f},
+				{8, 0x40169a59321be80c}, {11, 0x4017471c9db1d696},
+			},
+			restarts: []goldenRestart{
+				{24, core.StopPatience}, {21, core.StopPatience}, {24, core.StopPatience},
 			},
 		})
 	})

@@ -311,14 +311,14 @@ func RunComparison(s *Setup, budgets ComparisonBudgets) ([]MethodRow, error) {
 }
 
 // summarizeTelemetry compresses a search's metrics snapshot into a one-cell
-// report-table summary: LP warm-start effectiveness and total pivot work are
-// the numbers that explain where a search's runtime went.
+// report-table summary: LP solves and their pivot work are the numbers that
+// explain where a search's runtime went.
 func summarizeTelemetry(snap *obs.Snapshot) string {
 	if snap == nil {
 		return ""
 	}
-	return fmt.Sprintf("lp warm-hit %.0f%%, %d pivots, %d improvement(s)",
-		100*snap.Gauges["lp.warm_hit_ratio"],
+	return fmt.Sprintf("%d lp solves, %d pivots, %d improvement(s)",
+		snap.Counters["lp.solves"],
 		snap.Counters["lp.pivots"],
 		snap.Counters["search.improvements"])
 }

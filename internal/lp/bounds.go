@@ -40,10 +40,10 @@ func (s *Solver) SaveBasis(b *Basis) bool {
 }
 
 // LoadBasis installs a snapshot as the solver's retained basis, so the next
-// ResolveBounds (or Solve) warm-starts from it. The partial-pricing cursor
-// is reset along with the load: together with the fresh factorization
-// ResolveBounds performs, this erases every trace of the solver's prior
-// pivot history, which keeps warm node solves reproducible across workers.
+// ResolveBounds warm-starts from it. The partial-pricing cursor is reset
+// along with the load: together with the fresh factorization ResolveBounds
+// performs, this erases every trace of the solver's prior pivot history,
+// which keeps warm node solves reproducible across workers.
 // Reports false for an empty (never-saved) snapshot.
 func (s *Solver) LoadBasis(b *Basis) bool {
 	if b == nil || (b.nv == 0 && len(b.basis) == 0) {
@@ -61,17 +61,6 @@ func (s *Solver) LoadBasis(b *Basis) bool {
 	return true
 }
 
-// InvalidateBasis drops every piece of warm-start state — the retained basis
-// and the pricing cursor — forcing the next solve cold. Branch-and-bound uses
-// it when a node has no usable parent snapshot, so the resulting cold solve
-// is identical no matter which pooled solver runs it.
-func (s *Solver) InvalidateBasis() {
-	if s.rev != nil {
-		s.rev.valid = false
-		s.rev.cursor = 0
-	}
-}
-
 // ResolveBounds re-solves p after a variable-bound-only mutation, reusing
 // the retained basis. Contract: since the last successful solve (or
 // LoadBasis), only variable bounds may have changed — costs, coefficients,
@@ -84,7 +73,7 @@ func (s *Solver) InvalidateBasis() {
 // no status changed (bounds don't enter reduced costs). A conclusive dual
 // verdict — optimal or infeasible — is returned directly; anything else
 // (iteration/deadline limits, singular basis, shape mismatch, status repair
-// that broke dual feasibility) falls back to the full Solve path, which is
+// that broke dual feasibility) falls back to Solve, a cold solve that is
 // always correct.
 //
 // The re-factorization is unconditional, not an optimization opportunity:
@@ -151,10 +140,9 @@ func (s *Solver) ResolveBounds(p *Problem) *Solution {
 		case StatusOptimal:
 			s.Stats.DualResolves.Add(1)
 		case StatusInfeasible:
-			// Trust the dual's infeasibility proof, exactly like the warm-start
-			// path in Solve — for branch-and-bound this is the common
-			// "tightening emptied the node" outcome and re-deriving it cold
-			// would erase the warm-start win.
+			// Trust the dual's infeasibility proof: for branch-and-bound this
+			// is the common "tightening emptied the node" outcome, and
+			// re-deriving it cold would erase the warm-start win.
 			rv.valid = false
 			s.Stats.Solves.Add(1)
 			s.Stats.BoundHits.Add(1)

@@ -226,12 +226,9 @@ func (s *denseSolver) Solve(p *Problem) *Solution {
 	p1, p2 := 0, 0
 	warmOK := false
 	if len(s.warmBasis) == m && s.warmTotal == total {
-		s.Stats.WarmAttempts.Add(1)
 		var wp int
-		if st, wp = s.warmSolve(m, total, maxIter, p); st == StatusOptimal {
-			warmOK = true
-			s.Stats.WarmHits.Add(1)
-		}
+		st, wp = s.warmSolve(m, total, maxIter, p)
+		warmOK = st == StatusOptimal
 		p2 += wp // warm starts begin feasible: all pivots are phase 2
 	}
 	if !warmOK {

@@ -221,10 +221,9 @@ type Solution struct {
 // Value returns the solution value of v.
 func (s *Solution) Value(v VarID) float64 { return s.X[v] }
 
-// Solve converts the model to standard form and runs the simplex using a
-// pooled package-level Solver. Callers that repeatedly solve structurally
-// similar problems should hold their own Solver to benefit from basis
-// warm-starting deterministically.
+// Solve runs a cold simplex solve of p on a pooled package-level Solver.
+// The pool only saves workspace allocations: the answer is the same as a
+// fresh NewSolver's.
 func (p *Problem) Solve() *Solution {
 	s := getPooledSolver()
 	sol := s.Solve(p)

@@ -23,12 +23,12 @@ import (
 // pivots instead of a cold restart.
 
 const (
-	// primalTol mirrors the dense oracle's warm-start feasibility tolerance.
+	// primalTol mirrors the dense oracle's feasibility tolerance.
 	primalTol = 1e-7
 	// dualTol is the reduced-cost optimality tolerance (the package eps).
 	dualTol = 1e-9
 	// dualStartTol is the looser test for "is this basis still dual feasible
-	// enough to hand to the dual simplex" on warm starts.
+	// enough to hand to the dual simplex" on bound re-solves.
 	dualStartTol = 1e-7
 	// rsPivotTol is the minimum |w_i| for a row to participate in a ratio
 	// test.
@@ -51,8 +51,9 @@ const (
 	vsFree // nonbasic at value 0, both bounds infinite
 )
 
-// revised holds the engine state retained across solves for warm starts and
-// bound-tightening dual re-solves.
+// revised holds the engine state reused across solves: workspace for every
+// cold Solve, and the last optimal basis for bound-tightening dual re-solves
+// (ResolveBounds).
 type revised struct {
 	sf sparseForm
 	f  luFactor
@@ -111,11 +112,11 @@ func (rv *revised) value(j int) float64 {
 }
 
 // normalizeStatuses repairs nonbasic statuses that no longer agree with the
-// (possibly changed) bounds — a warm start across bound edits must never
-// place a variable at an infinite bound. It reports whether any status
-// changed: a changed status can break dual feasibility of the retained
-// basis, so callers on the bound-resolve fast path re-check before handing
-// the basis to the dual simplex.
+// (possibly changed) bounds — a bound re-solve must never place a variable
+// at an infinite bound. It reports whether any status changed: a changed
+// status can break dual feasibility of the retained basis, so callers on the
+// bound-resolve fast path re-check before handing the basis to the dual
+// simplex.
 func (rv *revised) normalizeStatuses() bool {
 	sf := &rv.sf
 	changed := false
@@ -176,10 +177,13 @@ func (rv *revised) growState() {
 // topmost nonzero sits in that row (so the crash basis stays lower
 // triangular and factors without fill). The crash turns the O(rows) phase-1
 // pivot march of flow LPs — one pivot per demand row — into a triangular
-// solve.
+// solve. The partial-pricing cursor restarts at column 0: a previous solve
+// stopped by its iteration limit or deadline leaves it mid-scan, and a cold
+// solve must not inherit where that scan stopped.
 func (rv *revised) coldStart() {
 	sf := &rv.sf
 	n, m := sf.n, sf.m
+	rv.cursor = 0
 	rv.growState()
 	if cap(rv.basis) < m {
 		rv.basis = make([]int32, m)
@@ -314,7 +318,7 @@ func (rv *revised) primalFeasible() bool { return rv.classifyInfeas() == 0 }
 
 // dualFeasible reports whether the current basis's reduced costs satisfy the
 // sign conditions within dualStartTol — the gate for handing a primal-
-// infeasible warm basis to the dual simplex.
+// infeasible retained basis to the dual simplex.
 func (rv *revised) dualFeasible() bool {
 	sf := &rv.sf
 	for i, bi := range rv.basis {

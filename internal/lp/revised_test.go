@@ -121,12 +121,11 @@ func TestRevisedMatchesDenseNonNegative(t *testing.T) {
 	}
 }
 
-// TestRevisedWarmStart mirrors TestWarmStartEquivalence for the revised
-// engine: a perturbed solve sequence must hit the retained basis and match
-// cold objectives.
-func TestRevisedWarmStart(t *testing.T) {
+// TestRevisedSequenceMatchesDense runs a perturbed solve sequence through
+// one revised Solver and pins every objective to the dense oracle's.
+func TestRevisedSequenceMatchesDense(t *testing.T) {
 	r := rng.New(11)
-	warm := &Solver{}
+	rev := &Solver{}
 	p := NewProblem()
 	base := []float64{3, 5, 2}
 	caps := []float64{4, 4, 4, 4}
@@ -136,9 +135,9 @@ func TestRevisedWarmStart(t *testing.T) {
 			d[i] = base[i] * (0.8 + 0.4*r.Float64())
 		}
 		buildTransportLP(p, d, caps)
-		got := warm.Solve(p)
+		got := rev.Solve(p)
 		if got.Status != StatusOptimal {
-			t.Fatalf("iter %d: warm revised status %v", iter, got.Status)
+			t.Fatalf("iter %d: revised status %v", iter, got.Status)
 		}
 		buildTransportLP(p, d, caps)
 		want := (&denseSolver{}).Solve(p)
@@ -149,13 +148,7 @@ func TestRevisedWarmStart(t *testing.T) {
 			t.Fatalf("iter %d: revised %.15g dense %.15g (rel %.3g)", iter, got.Objective, want.Objective, d)
 		}
 	}
-	if warm.Stats.WarmAttempts.Load() == 0 {
-		t.Fatal("revised solver never attempted its retained basis")
-	}
-	if warm.Stats.WarmHits.Load() == 0 {
-		t.Fatal("revised solver never completed a warm solve")
-	}
-	if warm.Stats.Refactors.Load() == 0 {
+	if rev.Stats.Refactors.Load() == 0 {
 		t.Fatal("Refactors counter never moved")
 	}
 }

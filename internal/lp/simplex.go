@@ -1,7 +1,8 @@
 // Package lp implements a small linear-programming toolkit: a modeling layer
 // (variables, linear constraints, min/max objectives) and a sparse
-// bounded-variable revised simplex solver with optimal-basis warm-starting
-// and dual-simplex re-solves (see Solver). A dense two-phase tableau simplex
+// bounded-variable revised simplex solver whose solves start cold, plus
+// dual-simplex bound re-solves from a saved basis for branch-and-bound (see
+// Solver and Basis). A dense two-phase tableau simplex
 // lives in the package's test files as the equivalence oracle.
 //
 // The paper's pipeline needs LP in three places: computing the optimal MLU

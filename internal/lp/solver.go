@@ -17,14 +17,12 @@ import (
 type SolverStats struct {
 	// Solves is the total number of Solve calls.
 	Solves atomic.Int64
-	// WarmAttempts counts solves that tried the cached basis.
-	WarmAttempts atomic.Int64
-	// WarmHits counts solves completed from the cached basis alone.
-	WarmHits atomic.Int64
-	// ColdSolves counts full two-phase solves (first solves and fallbacks).
+	// ColdSolves counts full two-phase solves: every Solve that reaches the
+	// simplex (m > 0), whether called directly or as a ResolveBounds
+	// fallback.
 	ColdSolves atomic.Int64
-	// Pivots is the total number of simplex pivots across all solves (warm
-	// phase-2 pivots and both cold phases).
+	// Pivots is the total number of simplex pivots across all solves: both
+	// phases of Solve plus ResolveBounds' dual pivots.
 	Pivots atomic.Int64
 	// BoundAttempts counts ResolveBounds calls that reached the revised
 	// warm path (a retained basis matched the problem shape).
@@ -36,8 +34,7 @@ type SolverStats struct {
 	// count as hits: the warm machinery settled the solve.
 	BoundHits atomic.Int64
 	// Phase1Pivots and Phase2Pivots split Pivots by simplex phase: feasibility
-	// restoration vs optimization. Warm solves that start feasible contribute
-	// only to Phase2Pivots.
+	// restoration vs optimization. Dual pivots are in neither.
 	Phase1Pivots atomic.Int64
 	Phase2Pivots atomic.Int64
 	// DualPivots counts dual-simplex pivots: bound violations repaired from
@@ -48,7 +45,7 @@ type SolverStats struct {
 	// in DualPivots pivots without a cold solve.
 	DualResolves atomic.Int64
 	// Refactors counts basis refactorizations (periodic RefactorEvery
-	// triggers, stability triggers, and warm/cold starts).
+	// triggers, stability triggers, cold starts and bound re-solves).
 	Refactors atomic.Int64
 	// EtaLen is a gauge, not a counter: the eta-file length after the most
 	// recent solve. Read with Load; Snapshot carries it verbatim and Sub
@@ -62,8 +59,6 @@ type SolverStats struct {
 func (s *SolverStats) Snapshot() SolverStatsSnapshot {
 	return SolverStatsSnapshot{
 		Solves:        s.Solves.Load(),
-		WarmAttempts:  s.WarmAttempts.Load(),
-		WarmHits:      s.WarmHits.Load(),
 		ColdSolves:    s.ColdSolves.Load(),
 		Pivots:        s.Pivots.Load(),
 		BoundAttempts: s.BoundAttempts.Load(),
@@ -82,8 +77,6 @@ func (s *SolverStats) Snapshot() SolverStatsSnapshot {
 // cumulative view.
 func (s *SolverStats) AddSnapshot(d SolverStatsSnapshot) {
 	s.Solves.Add(d.Solves)
-	s.WarmAttempts.Add(d.WarmAttempts)
-	s.WarmHits.Add(d.WarmHits)
 	s.ColdSolves.Add(d.ColdSolves)
 	s.Pivots.Add(d.Pivots)
 	s.BoundAttempts.Add(d.BoundAttempts)
@@ -101,8 +94,6 @@ func (s *SolverStats) AddSnapshot(d SolverStatsSnapshot) {
 // SolverStatsSnapshot is a plain-value copy of SolverStats.
 type SolverStatsSnapshot struct {
 	Solves        int64
-	WarmAttempts  int64
-	WarmHits      int64
 	ColdSolves    int64
 	Pivots        int64
 	BoundAttempts int64
@@ -120,8 +111,6 @@ type SolverStatsSnapshot struct {
 func (a SolverStatsSnapshot) Sub(b SolverStatsSnapshot) SolverStatsSnapshot {
 	return SolverStatsSnapshot{
 		Solves:        a.Solves - b.Solves,
-		WarmAttempts:  a.WarmAttempts - b.WarmAttempts,
-		WarmHits:      a.WarmHits - b.WarmHits,
 		ColdSolves:    a.ColdSolves - b.ColdSolves,
 		Pivots:        a.Pivots - b.Pivots,
 		BoundAttempts: a.BoundAttempts - b.BoundAttempts,
@@ -135,26 +124,12 @@ func (a SolverStatsSnapshot) Sub(b SolverStatsSnapshot) SolverStatsSnapshot {
 	}
 }
 
-// WarmHitRatio returns WarmHits/WarmAttempts (0 when no warm starts were
-// attempted).
-func (a SolverStatsSnapshot) WarmHitRatio() float64 {
-	if a.WarmAttempts == 0 {
-		return 0
-	}
-	return float64(a.WarmHits) / float64(a.WarmAttempts)
-}
-
 // Solver runs the sparse bounded-variable revised simplex (revised.go) over
-// reusable workspace and warm-starts successive solves from the previous
-// optimal basis.
-//
-// Warm-starting is correctness-safe by construction: the retained basis and
-// nonbasic statuses are only a candidate starting point. When the problem
-// shape matches, the solver re-factorizes the basis against the CURRENT
-// problem; a still-primal-feasible basis goes straight to phase 2, a
-// primal-infeasible but dual-feasible one to the dual simplex, anything else
-// through composite phase 1 — and on any failure it falls back to a cold
-// crash-basis solve, so a stale basis costs time, never correctness.
+// reusable workspace. Every Solve starts cold from the crash basis, so its
+// answer is a function of the Problem alone, never of which problems the
+// solver saw before: pooling a Solver reuses memory, not history. The one
+// warm entry point is ResolveBounds, which re-solves from an explicitly
+// loaded or just-saved basis (see Basis) for branch-and-bound.
 //
 // A dense two-phase tableau simplex in the test files (dense_oracle_test.go)
 // is the equivalence oracle this engine is pinned against.
@@ -174,8 +149,8 @@ type Solver struct {
 	// refactorization time for FTRAN/BTRAN speed and numerical freshness.
 	RefactorEvery int
 
-	// rev is the revised-simplex engine state, retained across solves for
-	// warm starts and dual-simplex bound re-solves.
+	// rev is the revised-simplex engine state: workspace reused across
+	// solves, plus the last optimal basis for SaveBasis and ResolveBounds.
 	rev *revised
 }
 
@@ -183,9 +158,8 @@ type Solver struct {
 func NewSolver() *Solver { return &Solver{} }
 
 // solverPool backs Problem.Solve for callers that do not hold their own
-// Solver. Pooled solvers keep their workspace AND their warm basis; a basis
-// from an unrelated problem is rejected by the shape check or fails its
-// refactorization/feasibility checks and simply falls back cold.
+// Solver. Pooled solvers keep only workspace: Solve never reads a previous
+// basis, so which pooled solver a caller gets cannot change its answer.
 var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 
 func getPooledSolver() *Solver  { return solverPool.Get().(*Solver) }
@@ -198,8 +172,7 @@ func growF(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// Solve optimizes p, warm-starting from the previous optimal basis when the
-// problem shape matches (see Solver).
+// Solve optimizes p from a cold crash basis (see Solver).
 func (s *Solver) Solve(p *Problem) *Solution {
 	s.Stats.Solves.Add(1)
 	var t0 time.Time
@@ -215,7 +188,6 @@ func (s *Solver) Solve(p *Problem) *Solution {
 		rv.refactorEvery = DefaultRefactorEvery
 	}
 
-	warmable := rv.valid && rv.nv == len(p.vars) && rv.nc == len(p.cons)
 	rv.sf.build(p)
 	rv.sfProb = p
 	rv.nv, rv.nc = len(p.vars), len(p.cons)
@@ -264,36 +236,12 @@ func (s *Solver) Solve(p *Problem) *Solution {
 		return sol
 	}
 
+	s.Stats.ColdSolves.Add(1)
+	rv.coldStart()
 	st := StatusIterLimit
 	p1, p2 := 0, 0
-	warmOK := false
-	if warmable && len(rv.basis) == m && len(rv.vstat) == rv.sf.ncols {
-		s.Stats.WarmAttempts.Add(1)
-		rv.growState()
-		rv.normalizeStatuses()
-		if rv.refactor(&s.Stats) {
-			if !rv.primalFeasible() && rv.dualFeasible() {
-				st, _ = rv.dual(&s.Stats, maxIter, p.Deadline)
-			} else {
-				st, p1, p2 = rv.primal(&s.Stats, maxIter, p.Deadline)
-			}
-			if st == StatusOptimal {
-				warmOK = true
-				s.Stats.WarmHits.Add(1)
-			}
-		}
-	}
-	if !warmOK && st != StatusInfeasible && st != StatusUnbounded {
-		s.Stats.ColdSolves.Add(1)
-		rv.coldStart()
-		if rv.refactor(&s.Stats) {
-			var cp1, cp2 int
-			st, cp1, cp2 = rv.primal(&s.Stats, maxIter, p.Deadline)
-			p1 += cp1
-			p2 += cp2
-		} else {
-			st = StatusIterLimit
-		}
+	if rv.refactor(&s.Stats) {
+		st, p1, p2 = rv.primal(&s.Stats, maxIter, p.Deadline)
 	}
 	s.Stats.Pivots.Add(int64(p1 + p2))
 	s.Stats.Phase1Pivots.Add(int64(p1))

@@ -27,11 +27,10 @@ func TestStatsConcurrentScrape(t *testing.T) {
 				return
 			default:
 				snap := s.Stats.Snapshot()
-				if snap.WarmHits > snap.WarmAttempts || snap.WarmAttempts > snap.Solves {
+				if snap.ColdSolves > snap.Solves {
 					t.Error("snapshot ordering violated")
 					return
 				}
-				_ = snap.WarmHitRatio()
 				_ = s.Obs.Snapshot()
 			}
 		}
@@ -67,16 +66,10 @@ func TestStatsConcurrentScrape(t *testing.T) {
 
 // TestSnapshotSub pins the delta arithmetic the aggregation layers rely on.
 func TestSnapshotSub(t *testing.T) {
-	a := SolverStatsSnapshot{Solves: 10, WarmAttempts: 8, WarmHits: 6, ColdSolves: 4, Pivots: 100}
-	b := SolverStatsSnapshot{Solves: 7, WarmAttempts: 5, WarmHits: 4, ColdSolves: 3, Pivots: 60}
+	a := SolverStatsSnapshot{Solves: 10, ColdSolves: 4, Pivots: 100}
+	b := SolverStatsSnapshot{Solves: 7, ColdSolves: 3, Pivots: 60}
 	d := a.Sub(b)
-	if d != (SolverStatsSnapshot{Solves: 3, WarmAttempts: 3, WarmHits: 2, ColdSolves: 1, Pivots: 40}) {
+	if d != (SolverStatsSnapshot{Solves: 3, ColdSolves: 1, Pivots: 40}) {
 		t.Fatalf("Sub = %+v", d)
-	}
-	if r := d.WarmHitRatio(); r != 2.0/3.0 {
-		t.Fatalf("WarmHitRatio = %v, want 2/3", r)
-	}
-	if r := (SolverStatsSnapshot{}).WarmHitRatio(); r != 0 {
-		t.Fatalf("empty WarmHitRatio = %v, want 0", r)
 	}
 }

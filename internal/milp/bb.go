@@ -119,9 +119,8 @@ func (w *bbWorker) solveNode(nodes []bbNode, id int32) *lp.Solution {
 		s = w.solver.ResolveBounds(w.prob)
 	} else {
 		// No usable parent snapshot (the root, or a parent whose basis save
-		// failed): drop all warm state so the cold solve is identical no
-		// matter which pooled solver runs it.
-		w.solver.InvalidateBasis()
+		// failed): Solve is cold, so the result is identical no matter which
+		// pooled solver runs it.
 		s = w.solver.Solve(w.prob)
 	}
 	if s.Status == lp.StatusOptimal {

@@ -2,11 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba).
 type Adam struct {
 	LR           float64

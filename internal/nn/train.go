@@ -62,7 +62,7 @@ func (b *Minibatch) AddScaled(x, y, scale []float64) {
 // MSEStep runs one optimizer step of min ‖net(X) − Y‖² over the batch using
 // a pooled training context, and returns the pre-step loss. An empty batch
 // is a no-op returning 0.
-func MSEStep(net *Sequential, opt Optimizer, b *Minibatch) float64 {
+func MSEStep(net *Sequential, opt *Adam, b *Minibatch) float64 {
 	if b.n == 0 {
 		return 0
 	}

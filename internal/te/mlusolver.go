@@ -30,16 +30,15 @@ func (e *StatusError) Error() string { return fmt.Sprintf("te: %s LP %v", e.Op, 
 // MLUSolver computes optimal-MLU LPs for one path set, reusing everything
 // that does not depend on the traffic matrix: the edge→path-slot incidence,
 // the lp.Problem (Reset-rebuilt per solve, allocation-free in steady state)
-// and an lp.Solver whose cached basis warm-starts consecutive solves.
-// Consecutive adversarial-search iterates perturb the demand slightly, so
-// the previous optimal basis is usually optimal or near-optimal for the next
-// matrix — the warm solve then finishes in a handful of pivots instead of
-// re-deriving the vertex from scratch.
+// and the lp.Solver's workspace. Every solve is cold, so the optimum and the
+// splits are a function of the traffic matrix alone — never of which matrix
+// a pooled solver saw before, or of when the garbage collector emptied the
+// pool. The performance ratio divides by this optimum, so its last bit must
+// not depend on solve history.
 //
 // MLUSolver is safe for concurrent use: each Solve borrows an independent
 // (Problem, Solver) pair from an internal pool, so parallel searchers never
-// serialize on a shared solver and each pooled pair keeps its own warm
-// basis.
+// serialize on a shared solver.
 type MLUSolver struct {
 	ps *paths.PathSet
 
@@ -225,8 +224,8 @@ type mluSolverKey struct{}
 
 // solverFor returns ps's shared MLUSolver — the one package-level
 // OptimalMLU and the search engines use — building it on first use. It is
-// memoized on the path set itself, so it (with its pooled solvers and warm
-// bases) is collected together with ps.
+// memoized on the path set itself, so it (with its pooled workspace) is
+// collected together with ps.
 func solverFor(ps *paths.PathSet) *MLUSolver {
 	return ps.Memo(mluSolverKey{}, func() any { return NewMLUSolver(ps) }).(*MLUSolver)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,13 +15,12 @@ import (
 )
 
 // TestMLUSolverMatchesFreshSolver perturbs a demand matrix across many
-// solves of one MLUSolver (which warm-starts internally) and checks each
-// optimal MLU against a freshly built solver, within 1e-9. Split vectors are
-// not compared — degenerate optima may pick different vertices — but the
-// returned splits must achieve the reported MLU.
+// solves of one MLUSolver and checks each optimal MLU against a freshly
+// built solver, within 1e-9; the returned splits must achieve the reported
+// MLU. TestMLUSolveHistoryFree holds the bitwise version of this contract.
 func TestMLUSolverMatchesFreshSolver(t *testing.T) {
 	ps := abilenePS()
-	warm := NewMLUSolver(ps)
+	reused := NewMLUSolver(ps)
 	r := rng.New(3)
 	tm := make(TrafficMatrix, ps.NumPairs())
 	for i := range tm {
@@ -30,19 +30,19 @@ func TestMLUSolverMatchesFreshSolver(t *testing.T) {
 		for i := range tm {
 			tm[i] *= 0.9 + 0.2*r.Float64()
 			if r.Float64() < 0.05 {
-				tm[i] = 0 // shape changes exercise the cold path too
+				tm[i] = 0 // zero demands change the LP's shape
 			}
 		}
-		got, splits, err := warm.Solve(tm)
+		got, splits, err := reused.Solve(tm)
 		if err != nil {
-			t.Fatalf("iter %d: warm solve: %v", iter, err)
+			t.Fatalf("iter %d: reused solver: %v", iter, err)
 		}
 		want, _, err := NewMLUSolver(ps).Solve(tm)
 		if err != nil {
 			t.Fatalf("iter %d: fresh solve: %v", iter, err)
 		}
 		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("iter %d: warm MLU %.12f, fresh %.12f", iter, got, want)
+			t.Fatalf("iter %d: reused MLU %.12f, fresh %.12f", iter, got, want)
 		}
 		if err := ValidateSplits(ps, splits); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
@@ -56,8 +56,7 @@ func TestMLUSolverMatchesFreshSolver(t *testing.T) {
 
 // TestOptimalMLUCachedSolverStable checks the package-level cache: repeated
 // OptimalMLU calls on one path set must keep returning the same objective
-// for the same matrix within float tolerance (warm solves may pivot in a
-// different order than the first cold solve, shifting the last bits).
+// for the same matrix, bit for bit.
 func TestOptimalMLUCachedSolverStable(t *testing.T) {
 	ps := trianglePS()
 	tm := make(TrafficMatrix, ps.NumPairs())
@@ -74,8 +73,8 @@ func TestOptimalMLUCachedSolverStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(again-first) > 1e-9 {
-			t.Fatalf("call %d: MLU %.15f, first call %.15f", k, again, first)
+		if math.Float64bits(again) != math.Float64bits(first) {
+			t.Fatalf("call %d: MLU %.17g, first call %.17g", k, again, first)
 		}
 	}
 }
@@ -140,5 +139,64 @@ func TestSolveCtxDeadlineBeforeTimer(t *testing.T) {
 	_, _, err := NewMLUSolver(ps).SolveCtx(lateTimerCtx{context.Background()}, tm)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestMLUSolveHistoryFree pins that an optimum is a function of its traffic
+// matrix alone. One MLUSolver solves 200 matrices (100 gravity, 100 with
+// ~70% of pairs zero, which changes the LP's shape) in order, then again in
+// reverse, with a GC every 7th solve so the solver pool is emptied at
+// varying points. Every optimum and split vector of the reverse pass must
+// equal the forward pass's bit for bit, on Abilene and GÉANT.
+func TestMLUSolveHistoryFree(t *testing.T) {
+	for _, topo := range []struct {
+		name string
+		g    *topology.Graph
+	}{{"abilene", topology.Abilene()}, {"geant", topology.Geant()}} {
+		ps := paths.NewPathSet(topo.g, 4)
+		r := rng.New(13)
+		scale := topo.g.AvgLinkCapacity() / 8
+		tms := make([]TrafficMatrix, 200)
+		for k := range tms {
+			tms[k] = gravityTM(ps, scale, r)
+			if k >= 100 {
+				for i := range tms[k] {
+					if r.Float64() < 0.7 {
+						tms[k][i] = 0
+					}
+				}
+			}
+		}
+		s := NewMLUSolver(ps)
+		solves := 0
+		solve := func(tm TrafficMatrix) (float64, Splits) {
+			if solves++; solves%7 == 0 {
+				runtime.GC()
+			}
+			mlu, splits, err := s.Solve(tm)
+			if err != nil {
+				t.Fatalf("%s: %v", topo.name, err)
+			}
+			return mlu, splits
+		}
+		mlus := make([]float64, len(tms))
+		splits := make([]Splits, len(tms))
+		for k, tm := range tms {
+			mlus[k], splits[k] = solve(tm)
+		}
+		differ := 0
+		for k := len(tms) - 1; k >= 0; k-- {
+			mlu, sp := solve(tms[k])
+			same := math.Float64bits(mlu) == math.Float64bits(mlus[k])
+			for i := range sp {
+				same = same && math.Float64bits(sp[i]) == math.Float64bits(splits[k][i])
+			}
+			if !same {
+				differ++
+			}
+		}
+		if differ != 0 {
+			t.Errorf("%s: %d of %d optima or split vectors depend on solve order", topo.name, differ, len(tms))
+		}
 	}
 }

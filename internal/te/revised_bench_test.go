@@ -24,8 +24,7 @@ func waxmanPS() *paths.PathSet {
 // BenchmarkWaxman100 is the acceptance point for the sparse revised engine: a
 // tegen-grown 100-node Waxman topology (400 directed edges, 9900 pairs, K=4
 // → ~10,300 LP rows, ~40,000 columns; a dense tableau at this size would be
-// ~3–4 GB): a from-scratch cold solve, and warm re-solves across small
-// demand perturbations (the adversarial-search steady state).
+// ~3–4 GB): a from-scratch cold solve, the only kind production runs.
 func BenchmarkWaxman100(b *testing.B) {
 	ps := waxmanPS()
 	scale := ps.Graph.AvgLinkCapacity() / float64(ps.Graph.NumNodes())
@@ -41,23 +40,5 @@ func BenchmarkWaxman100(b *testing.B) {
 			pivots += int64(s.Stats().Pivots)
 		}
 		b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-	})
-	b.Run("warm", func(b *testing.B) {
-		r := rng.New(2)
-		tm := gravityTM(ps, scale, r)
-		s := NewMLUSolver(ps)
-		if _, _, err := s.Solve(tm); err != nil {
-			b.Fatal(err)
-		}
-		before := s.Stats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			j := r.Intn(len(tm))
-			tm[j] *= r.Uniform(0.95, 1.05)
-			if _, _, err := s.Solve(tm); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(s.Stats().Pivots-before.Pivots)/float64(b.N), "pivots/op")
 	})
 }

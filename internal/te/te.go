@@ -141,7 +141,7 @@ func MLU(ps *paths.PathSet, tm TrafficMatrix, s Splits) (float64, int) {
 // demand get their full split on the first path.
 //
 // Repeated calls on the same PathSet reuse a cached MLUSolver, so the LP is
-// rebuilt allocation-free and warm-started from the previous optimal basis.
+// rebuilt allocation-free; every solve is cold (see MLUSolver).
 func OptimalMLU(ps *paths.PathSet, tm TrafficMatrix) (float64, Splits, error) {
 	return solverFor(ps).Solve(tm)
 }
