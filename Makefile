@@ -38,9 +38,10 @@ bench:
 	$(GO) test -run xxx -bench 'PipelineGrad|PipelineForward|OptimalMLULP' -benchmem .
 	$(GO) test -run xxx -bench . -benchmem ./internal/lp/ ./internal/ad/
 
-# bench-json archives the core benchmarks (scalar vs batched gradient paths,
-# the search under both restart groupings, and the Table 1 search with its
-# "ratio" metric) as a machine-readable JSON snapshot.
+# bench-json archives the core benchmarks (one-row and multi-row gradient
+# sweeps, the search under both restart groupings, and the Table 1 search
+# with its "ratio" metric) as a machine-readable JSON snapshot in
+# $(BENCHJSON_OUT); CI compares it against the committed BENCH_PR5.json.
 bench-json:
 	$(GO) test -run xxx -benchtime $(BENCHTIME) -benchmem \
 		-bench 'BenchmarkPipelineGrad$$|BenchmarkPipelineBatchGrad|BenchmarkGradSearchEngines|BenchmarkTable1_DOTEHist|BenchmarkIncrementalFDGrad|BenchmarkEvalCacheMemo|BenchmarkAllocAttack' . \

@@ -8,20 +8,31 @@ import (
 	"repro/internal/obs"
 )
 
-// Batched evaluation: a restart group of the gradient search runs its R
-// search points in lock-step, represented as a row-major [R, n]
-// linalg.Matrix whose row r is point r. Stages that implement the Batch* interfaces process the whole
-// batch in one sweep (turning the DNN's work into matrix–matrix kernels);
-// stages that don't are driven row by row, so a mixed pipeline still works.
+// Batched evaluation is the analyzer's one sweep: a restart group of the
+// gradient search runs its R search points in lock-step, represented as a
+// row-major [R, n] linalg.Matrix whose row r is point r, and every scalar
+// call (Pipeline.Forward, VJP, Grad and their ctx forms) is a one-row batch
+// over the caller's slice (RowBatch). Stages that implement the Batch*
+// interfaces process the whole batch in one sweep (turning the DNN's work
+// into matrix–matrix kernels); stages that don't are driven row by row, so a
+// mixed pipeline still works.
 //
-// Contract: batched stages must compute each row EXACTLY as the scalar
-// Forward/VJP would — same values bit for bit, independent of the batch
+// Contract: batched stages must compute each row EXACTLY as a one-row batch
+// of that row would — same values bit for bit, independent of the batch
 // size — so a restart's trajectory does not depend on its group. The
-// blocked linalg kernels and the segment ops preserve this by construction.
+// blocked linalg kernels and the segment ops preserve this by construction;
+// the equivalence tests pin it against scalar oracles kept in core's test
+// files.
 //
 // Ownership: the input matrix is owned by the caller and is read-only to the
 // stage; the returned matrix is freshly allocated and owned by the caller.
 // Rows of either may be retained only until the next call.
+
+// RowBatch is the one-row batch over x: a view of the caller's slice, not a
+// copy, so it is read-only like every batch input.
+func RowBatch(x []float64) *linalg.Matrix {
+	return &linalg.Matrix{Rows: 1, Cols: len(x), Data: x}
+}
 
 // BatchComponent is a Component that can evaluate a whole batch natively.
 type BatchComponent interface {
@@ -52,42 +63,63 @@ func (p *Pipeline) BatchCapable() bool {
 
 // batchForwardStage evaluates one stage on a batch, natively when the stage
 // supports it and row by row otherwise.
-func batchForwardStage(s Component, xs *linalg.Matrix) *linalg.Matrix {
+func batchForwardStage(s Component, xs *linalg.Matrix) linalg.Matrix {
 	if bc, ok := s.(BatchComponent); ok {
-		return bc.BatchForward(xs)
+		return *bc.BatchForward(xs)
 	}
-	var out *linalg.Matrix
-	for r := 0; r < xs.Rows; r++ {
-		y := s.Forward(xs.Row(r))
-		if out == nil {
-			out = linalg.NewMatrix(xs.Rows, len(y))
-		}
-		copy(out.Row(r), y)
+	out := rowsFrom(s.Forward(xs.Row(0)), xs.Rows)
+	for r := 1; r < xs.Rows; r++ {
+		copy(out.Row(r), s.Forward(xs.Row(r)))
 	}
 	return out
 }
 
-// BatchForward evaluates the whole system on every row of xs.
-func (p *Pipeline) BatchForward(xs *linalg.Matrix) *linalg.Matrix {
-	if xs.Rows == 0 {
-		panic("core: BatchForward on empty batch")
+// rowsFrom starts the [rows, len(y)] result of a stage driven row by row
+// from its first row y: a one-row batch keeps the stage's own slice, as a
+// scalar caller would, and a taller one gets a fresh matrix whose further
+// rows the caller fills.
+func rowsFrom(y []float64, rows int) linalg.Matrix {
+	if rows == 1 {
+		return linalg.Matrix{Rows: 1, Cols: len(y), Data: y}
 	}
-	cur := xs
-	for i, s := range p.stages {
-		if p.obs != nil {
-			t := p.obs[i].fwd.StartTimer()
-			cur = batchForwardStage(s, cur)
-			t.Stop()
-		} else {
-			cur = batchForwardStage(s, cur)
-		}
-	}
-	return cur
+	out := linalg.NewMatrix(rows, len(y))
+	copy(out.Data, y)
+	return *out
 }
 
-// BatchVJP computes the chain-rule VJP of every row in lock-step: it runs
-// the batched forward sweep, then pulls the per-row cotangents back stage by
-// stage. Row r of the result equals VJP(xs.Row(r), ybars.Row(r)) exactly.
+// sweep runs the forward pass: m[0] is the input batch, and stage i's
+// output lands in m[i+1]. It stops with ctx.Err() between stages.
+func (p *Pipeline) sweep(ctx context.Context, m []linalg.Matrix) error {
+	if m[0].Rows == 0 {
+		panic("core: pipeline sweep on empty batch")
+	}
+	for i, s := range p.stages {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var t obs.Timer
+		if p.obs != nil {
+			t = p.obs[i].fwd.StartTimer()
+		}
+		m[i+1] = batchForwardStage(s, &m[i])
+		t.Stop()
+	}
+	return nil
+}
+
+// BatchForward evaluates the whole system on every row of xs.
+func (p *Pipeline) BatchForward(xs *linalg.Matrix) *linalg.Matrix {
+	n := len(p.stages)
+	m := make([]linalg.Matrix, n+1)
+	m[0] = *xs
+	_ = p.sweep(context.Background(), m)
+	clear(m[:n]) // the result must not keep the intermediate batches alive
+	return &m[n]
+}
+
+// BatchVJP computes the chain-rule VJP of every row in lock-step (see
+// BatchVJPCtx). Row r of the result equals VJP(xs.Row(r), ybars.Row(r))
+// exactly.
 func (p *Pipeline) BatchVJP(xs, ybars *linalg.Matrix) *linalg.Matrix {
 	g, _ := p.BatchVJPCtx(context.Background(), xs, ybars)
 	return g
@@ -102,46 +134,33 @@ type BatchCtxDifferentiable interface {
 	BatchVJPCtx(ctx context.Context, xs, ybars *linalg.Matrix) (*linalg.Matrix, error)
 }
 
-// BatchVJPCtx is BatchVJP under a caller-controlled context: ctx is checked
-// between stages and long-running estimator stages abort promptly. A context
-// that never fires leaves every row bitwise unchanged. The only error
-// returned is ctx.Err(); structural problems still panic, to be contained by
-// the search engine.
+// BatchVJPCtx is the analyzer's chain rule (Figure 4): it runs the batched
+// forward sweep, keeping each stage's input batch, then pulls the per-row
+// cotangents back stage by stage. Stages without a batched VJP are pulled
+// back row by row. Every stage must be Differentiable — wrap opaque stages
+// with WithFiniteDiff or WithSPSA first (see Grayboxed).
+//
+// ctx is checked between stages and BatchCtxDifferentiable stages (the
+// sampling estimators) observe it mid-sweep. A context that never fires
+// leaves every row bitwise unchanged. The only error returned is ctx.Err();
+// structural problems (shape mismatches, non-differentiable stages) still
+// panic, to be contained by the search engine's recover() boundary.
 func (p *Pipeline) BatchVJPCtx(ctx context.Context, xs, ybars *linalg.Matrix) (*linalg.Matrix, error) {
-	if xs.Rows == 0 {
-		panic("core: BatchVJP on empty batch")
+	// m[i] is stage i's input batch and m[n] the output. On the way back
+	// m[i+1] holds the cotangent of stage i's output and m[i] is replaced by
+	// that of its input, so the headers of the whole sweep share one slice.
+	n := len(p.stages)
+	m := make([]linalg.Matrix, n+1)
+	m[0] = *xs
+	if err := p.sweep(ctx, m); err != nil {
+		return nil, err
 	}
-	if xs.Rows == 1 {
-		// A one-row batch takes the scalar chain rule, whose stages may
-		// spread a single row over workers (the sparse FD sweep stripes its
-		// probes); by the batch contract the row is bitwise the same.
-		g, err := p.VJPCtx(ctx, xs.Row(0), ybars.Row(0))
-		if err != nil {
-			return nil, err
-		}
-		return &linalg.Matrix{Rows: 1, Cols: len(g), Data: g}, nil
-	}
-	inputs := make([]*linalg.Matrix, len(p.stages))
-	cur := xs
-	for i, s := range p.stages {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		inputs[i] = cur
-		if p.obs != nil {
-			t := p.obs[i].fwd.StartTimer()
-			cur = batchForwardStage(s, cur)
-			t.Stop()
-		} else {
-			cur = batchForwardStage(s, cur)
-		}
-	}
-	if ybars.Rows != cur.Rows || ybars.Cols != cur.Cols {
+	if ybars.Rows != m[n].Rows || ybars.Cols != m[n].Cols {
 		panic(fmt.Sprintf("core: batch cotangent shape [%d,%d], output [%d,%d]",
-			ybars.Rows, ybars.Cols, cur.Rows, cur.Cols))
+			ybars.Rows, ybars.Cols, m[n].Rows, m[n].Cols))
 	}
-	cot := ybars
-	for i := len(p.stages) - 1; i >= 0; i-- {
+	m[n] = *ybars
+	for i := n - 1; i >= 0; i-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -149,28 +168,30 @@ func (p *Pipeline) BatchVJPCtx(ctx context.Context, xs, ybars *linalg.Matrix) (*
 		if p.obs != nil {
 			t = p.obs[i].vjp.StartTimer()
 		}
+		in, cot := &m[i], &m[i+1]
 		switch d := p.stages[i].(type) {
 		case BatchCtxDifferentiable:
-			var err error
-			cot, err = d.BatchVJPCtx(ctx, inputs[i], cot)
+			g, err := d.BatchVJPCtx(ctx, in, cot)
 			if err != nil {
 				t.Stop()
 				return nil, err
 			}
+			m[i] = *g
 		case BatchDifferentiable:
-			cot = d.BatchVJP(inputs[i], cot)
+			m[i] = *d.BatchVJP(in, cot)
 		case Differentiable:
-			next := linalg.NewMatrix(xs.Rows, inputs[i].Cols)
-			for r := 0; r < xs.Rows; r++ {
-				copy(next.Row(r), d.VJP(inputs[i].Row(r), cot.Row(r)))
+			g := rowsFrom(d.VJP(in.Row(0), cot.Row(0)), in.Rows)
+			for r := 1; r < in.Rows; r++ {
+				copy(g.Row(r), d.VJP(in.Row(r), cot.Row(r)))
 			}
-			cot = next
+			m[i] = g
 		default:
 			panic(fmt.Sprintf("core: stage %q is not differentiable; wrap it with WithFiniteDiff or WithSPSA", p.stages[i].Name()))
 		}
 		t.Stop()
 	}
-	return cot, nil
+	clear(m[1:]) // the result must not keep the intermediate batches alive
+	return &m[0], nil
 }
 
 // BatchGrad returns the gradient of a scalar-output pipeline for every row.

@@ -1,7 +1,7 @@
 package core_test
 
 // Equivalence tests for restart groups: batched stage sweeps must reproduce
-// the scalar chain-rule path exactly, and a search must return the same
+// the scalar oracles (oracle_test.go, dote_oracle_test.go) exactly, and a search must return the same
 // result whether its restarts run as one-restart groups or as one lock-step
 // group — including restarts retired early by Patience or by a fault.
 
@@ -31,8 +31,9 @@ func TestBatchForwardMatchesScalarRows(t *testing.T) {
 	}
 	xs := randomBatch(rng.New(21), 5, m.InputDim(), m.PS.Graph.AvgLinkCapacity())
 	outs := p.BatchForward(xs)
+	oracle := oraclePipeline(m)
 	for r := 0; r < xs.Rows; r++ {
-		want := p.Forward(xs.Row(r))
+		want := oracle.Forward(xs.Row(r))
 		got := outs.Row(r)
 		if len(got) != len(want) {
 			t.Fatalf("row %d: batch output width %d, scalar %d", r, len(got), len(want))
@@ -51,8 +52,9 @@ func TestBatchGradMatchesScalarRows(t *testing.T) {
 	p := m.Pipeline()
 	xs := randomBatch(rng.New(22), 6, m.InputDim(), m.PS.Graph.AvgLinkCapacity())
 	grads := p.BatchGrad(xs)
+	oracle := oraclePipeline(m)
 	for r := 0; r < xs.Rows; r++ {
-		want := p.Grad(xs.Row(r))
+		want := oracle.VJP(xs.Row(r), []float64{1})
 		got := grads.Row(r)
 		for i := range want {
 			if got[i] != want[i] {
@@ -64,8 +66,8 @@ func TestBatchGradMatchesScalarRows(t *testing.T) {
 }
 
 // TestBatchVJPGrayboxMatchesScalarRows covers the estimator path: the FD
-// wrapper batches its probe evaluations but each coordinate's estimate uses
-// the scalar arithmetic, so rows agree bitwise.
+// wrapper's (row, stripe) sweep estimates each coordinate with the scalar
+// arithmetic, so its rows agree bitwise with the scalar FD oracle.
 func TestBatchVJPGrayboxMatchesScalarRows(t *testing.T) {
 	m := trainedTriangleModel(t)
 	p := m.OpaqueRoutingPipeline().Grayboxed(1e-5)
@@ -74,8 +76,9 @@ func TestBatchVJPGrayboxMatchesScalarRows(t *testing.T) {
 	}
 	xs := randomBatch(rng.New(23), 3, m.InputDim(), m.PS.Graph.AvgLinkCapacity())
 	grads := p.BatchGrad(xs)
+	oracle := oracleOpaque(m, func(c core.Component) core.Component { return core.NewScalarFD(c, 1e-5) })
 	for r := 0; r < xs.Rows; r++ {
-		want := p.Grad(xs.Row(r))
+		want := oracle.VJP(xs.Row(r), []float64{1})
 		got := grads.Row(r)
 		for i := range want {
 			if got[i] != want[i] {

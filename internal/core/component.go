@@ -100,20 +100,9 @@ func NewPipeline(stages ...Component) *Pipeline {
 // Stages returns the component list (shared; do not mutate).
 func (p *Pipeline) Stages() []Component { return p.stages }
 
-// Forward evaluates the whole system.
+// Forward evaluates the whole system: a one-row BatchForward.
 func (p *Pipeline) Forward(x []float64) []float64 {
-	if p.obs == nil {
-		for _, s := range p.stages {
-			x = s.Forward(x)
-		}
-		return x
-	}
-	for i, s := range p.stages {
-		t := p.obs[i].fwd.StartTimer()
-		x = s.Forward(x)
-		t.Stop()
-	}
-	return x
+	return p.BatchForward(RowBatch(x)).Row(0)
 }
 
 // EvalScalar evaluates a pipeline whose final output is scalar.
@@ -125,10 +114,7 @@ func (p *Pipeline) EvalScalar(x []float64) float64 {
 	return y[0]
 }
 
-// VJP computes ȳᵀ·dH/dx by the chain rule: it evaluates the pipeline
-// forward, then pulls the cotangent back stage by stage (Figure 4). Every
-// stage must be Differentiable — wrap opaque stages with WithFiniteDiff or
-// WithSPSA first (see Grayboxed).
+// VJP computes ȳᵀ·dH/dx by the chain rule: a one-row BatchVJP.
 func (p *Pipeline) VJP(x, ybar []float64) []float64 {
 	g, _ := p.VJPCtx(context.Background(), x, ybar)
 	return g
@@ -143,67 +129,14 @@ func (p *Pipeline) Grad(x []float64) []float64 {
 	return p.VJP(x, scalarSeed)
 }
 
-// CtxDifferentiable is an optional extension of Differentiable: stages whose
-// VJP is expensive enough to observe cancellation mid-computation (the
-// sampling estimators, whose single VJP costs O(n) forward evaluations)
-// implement it; cheap analytic stages need not. Implementations return
-// ctx.Err() promptly after cancellation and must behave exactly like VJP when
-// the context never fires.
-type CtxDifferentiable interface {
-	Differentiable
-	VJPCtx(ctx context.Context, x, ybar []float64) ([]float64, error)
-}
-
-// VJPCtx is VJP under a caller-controlled context: the chain rule checks ctx
-// between stages and delegates to CtxDifferentiable stages so long-running
-// estimators abort promptly. A context that never fires leaves the result
-// unchanged. The only error returned is ctx.Err(); structural problems
-// (shape mismatches, non-differentiable stages) still panic, to be contained
-// by the search engine's recover() boundary.
+// VJPCtx is VJP under a caller-controlled context: a one-row BatchVJPCtx,
+// with the same cancellation contract.
 func (p *Pipeline) VJPCtx(ctx context.Context, x, ybar []float64) ([]float64, error) {
-	inputs := make([][]float64, len(p.stages))
-	cur := x
-	for i, s := range p.stages {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		inputs[i] = cur
-		if p.obs != nil {
-			t := p.obs[i].fwd.StartTimer()
-			cur = s.Forward(cur)
-			t.Stop()
-		} else {
-			cur = s.Forward(cur)
-		}
+	g, err := p.BatchVJPCtx(ctx, RowBatch(x), RowBatch(ybar))
+	if err != nil {
+		return nil, err
 	}
-	if len(ybar) != len(cur) {
-		panic(fmt.Sprintf("core: cotangent length %d, output length %d", len(ybar), len(cur)))
-	}
-	cot := ybar
-	for i := len(p.stages) - 1; i >= 0; i-- {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var t obs.Timer
-		if p.obs != nil {
-			t = p.obs[i].vjp.StartTimer()
-		}
-		switch d := p.stages[i].(type) {
-		case CtxDifferentiable:
-			var err error
-			cot, err = d.VJPCtx(ctx, inputs[i], cot)
-			if err != nil {
-				t.Stop()
-				return nil, err
-			}
-		case Differentiable:
-			cot = d.VJP(inputs[i], cot)
-		default:
-			panic(fmt.Sprintf("core: stage %q is not differentiable; wrap it with WithFiniteDiff or WithSPSA", p.stages[i].Name()))
-		}
-		t.Stop()
-	}
-	return cot, nil
+	return g.Row(0), nil
 }
 
 // GradCtx is Grad under a caller-controlled context (see VJPCtx).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -12,8 +13,9 @@ import (
 
 // fdComponent wraps an opaque component with a central finite-difference
 // VJP: column j of the Jacobian is (f(x + h e_j) − f(x − h e_j)) / 2h, and
-// the VJP is the cotangent dotted against each column. Probes across input
-// dimensions run in parallel.
+// the VJP is the cotangent dotted against each column. Probes go through a
+// SparseProber (the component's own when it is a SparseProbeEvaluator,
+// full-vector forwards otherwise) and run in parallel (see BatchVJPCtx).
 type fdComponent struct {
 	inner   Component
 	step    float64
@@ -43,154 +45,101 @@ func (f *fdComponent) Instrument(reg *obs.Registry) {
 	}
 }
 
-// VJP implements Differentiable by sampling the function around x. When the
-// wrapped component advertises SparseProbeEvaluator, probes go through its
-// incremental fast path ((index, delta) pairs instead of full vectors); the
-// sparse path reproduces the dense arithmetic bitwise.
+// VJP implements Differentiable as a one-row BatchVJP.
 func (f *fdComponent) VJP(x, ybar []float64) []float64 {
-	g, _ := f.VJPCtx(context.Background(), x, ybar)
-	return g
+	return f.BatchVJP(RowBatch(x), RowBatch(ybar)).Row(0)
 }
-
-// VJPCtx implements CtxDifferentiable: one FD VJP costs 2n forward
-// evaluations, so cancellation is observed per coordinate. The feeder stops
-// enqueuing jobs once ctx fires and workers skip remaining work while still
-// draining the channel, so no goroutine ever blocks on an abandoned send.
-func (f *fdComponent) VJPCtx(ctx context.Context, x, ybar []float64) ([]float64, error) {
-	n := len(x)
-	grad := make([]float64, n)
-	if spe, ok := f.inner.(SparseProbeEvaluator); ok {
-		if err := f.sparseVJPInto(ctx, spe, x, ybar, grad); err != nil {
-			return nil, err
-		}
-		return grad, nil
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < f.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One pooled perturbation buffer per worker, filled once: each
-			// job only touches coordinate j and restores it, so there is no
-			// per-job copy of x.
-			xp := linalg.GetVec(n)
-			defer linalg.PutVec(xp)
-			copy(xp, x)
-			for j := range jobs {
-				if ctx.Err() != nil {
-					continue // keep draining so the feeder never blocks
-				}
-				xp[j] = x[j] + f.step
-				fp := f.inner.Forward(xp)
-				xp[j] = x[j] - f.step
-				fm := f.inner.Forward(xp)
-				xp[j] = x[j]
-				s := 0.0
-				for i := range ybar {
-					s += ybar[i] * (fp[i] - fm[i])
-				}
-				grad[j] = s / (2 * f.step)
-			}
-		}()
-	}
-	for j := 0; j < n && ctx.Err() == nil; j++ {
-		jobs <- j
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return grad, nil
-}
-
-// fdBatchChunk is how many coordinates' ± probes are packed into one batch
-// before evaluating the wrapped component: 2·fdBatchChunk probe rows per
-// sweep keeps the probe matrix cache-resident while amortizing the batched
-// forward over many samples.
-const fdBatchChunk = 16
 
 // BatchForward implements BatchComponent by delegating to the inner
 // component (natively batched when it can be).
 func (f *fdComponent) BatchForward(xs *linalg.Matrix) *linalg.Matrix {
-	return batchForwardStage(f.inner, xs)
+	out := batchForwardStage(f.inner, xs)
+	return &out
 }
 
-// BatchVJP implements BatchDifferentiable: rows are independent FD
-// estimates, and within each row the ±h probes are packed into probe
-// batches evaluated through the inner stage's batched forward. Each
-// coordinate's estimate uses exactly the scalar path's arithmetic, so
-// batched and scalar VJPs agree bitwise.
+// BatchVJP implements BatchDifferentiable.
 func (f *fdComponent) BatchVJP(xs, ybars *linalg.Matrix) *linalg.Matrix {
 	g, _ := f.BatchVJPCtx(context.Background(), xs, ybars)
 	return g
 }
 
-// BatchVJPCtx implements BatchCtxDifferentiable: cancellation is observed
-// between rows and probe chunks; partially estimated rows are discarded by
-// the caller (the search never uses a gradient from a cancelled sweep).
+// BatchVJPCtx implements BatchCtxDifferentiable with one sweep in two
+// fan-outs. First every row binds a prober and computes the coordinates it
+// must probe (rowCoords: the certified support when the prober offers one),
+// so no probing task ever waits for a certificate. Then (row, stripe) tasks
+// probe: each row's coordinates are split into workers/R stripes (at least
+// one), so a lone row is spread over every worker and a batch of at least
+// workers rows runs one task per row. Stripe 0 probes with its row's
+// prober; every further stripe binds a prober of its own. Each
+// coordinate's estimate is the same arithmetic whatever the schedule, so
+// the result is bitwise independent of R and the worker count.
+// Cancellation is observed per coordinate, and a cancelled sweep returns
+// ctx.Err() with no gradient (the search never uses a partial one).
 func (f *fdComponent) BatchVJPCtx(ctx context.Context, xs, ybars *linalg.Matrix) (*linalg.Matrix, error) {
-	if spe, ok := f.inner.(SparseProbeEvaluator); ok {
-		return f.sparseBatchVJP(ctx, spe, xs, ybars)
-	}
 	R, n := xs.Rows, xs.Cols
 	grads := linalg.NewMatrix(R, n)
-	workers := f.workers
-	if workers > R {
-		workers = R
+	probers := make([]SparseProber, R)
+	coords := make([][]int, R)
+	f.fanOut(ctx, R, func(r int) {
+		probers[r] = f.prober(xs.Row(r))
+		coords[r] = rowCoords(probers[r], f.step, n)
+	})
+	stripes := max(1, f.workers/R)
+	f.fanOut(ctx, R*stripes, func(t int) {
+		r, s := t/stripes, t%stripes
+		if s >= len(coords[r]) {
+			return // an empty stripe, or a row the cancelled first pass skipped
+		}
+		p := probers[r]
+		if s > 0 {
+			p = f.prober(xs.Row(r))
+			defer p.Close()
+		}
+		ybar, grad := ybars.Row(r), grads.Row(r)
+		fpBuf := linalg.GetVec(len(ybar))
+		defer linalg.PutVec(fpBuf)
+		for k := s; k < len(coords[r]) && ctx.Err() == nil; k += stripes {
+			j := coords[r][k]
+			grad[j] = centralDiff(p, j, f.step, ybar, fpBuf) / (2 * f.step)
+		}
+	})
+	for _, p := range probers {
+		if p != nil {
+			p.Close()
+		}
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	rows := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			probes := linalg.NewMatrix(2*fdBatchChunk, n)
-			for r := range rows {
-				if ctx.Err() != nil {
-					continue // keep draining so the feeder never blocks
-				}
-				x, ybar, grad := xs.Row(r), ybars.Row(r), grads.Row(r)
-				for j0 := 0; j0 < n; j0 += fdBatchChunk {
-					if ctx.Err() != nil {
-						break
-					}
-					j1 := min(j0+fdBatchChunk, n)
-					nb := j1 - j0
-					for jj := 0; jj < nb; jj++ {
-						pp, pm := probes.Row(2*jj), probes.Row(2*jj+1)
-						copy(pp, x)
-						copy(pm, x)
-						pp[j0+jj] = x[j0+jj] + f.step
-						pm[j0+jj] = x[j0+jj] - f.step
-					}
-					sub := &linalg.Matrix{Rows: 2 * nb, Cols: n, Data: probes.Data[:2*nb*n]}
-					outs := batchForwardStage(f.inner, sub)
-					for jj := 0; jj < nb; jj++ {
-						fp, fm := outs.Row(2*jj), outs.Row(2*jj+1)
-						s := 0.0
-						for i := range ybar {
-							s += ybar[i] * (fp[i] - fm[i])
-						}
-						grad[j0+jj] = s / (2 * f.step)
-					}
-				}
-			}
-		}()
-	}
-	for r := 0; r < R && ctx.Err() == nil; r++ {
-		rows <- r
-	}
-	close(rows)
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return grads, nil
+}
+
+// fanOut runs task(0), ..., task(n-1) on min(workers, n) goroutines and
+// waits for them; a lone task runs on the calling goroutine. Tasks not yet
+// started when ctx fires are skipped.
+func (f *fdComponent) fanOut(ctx context.Context, n int, task func(i int)) {
+	if n == 1 {
+		if ctx.Err() == nil {
+			task(0)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(f.workers, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				task(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // spsaComponent estimates the VJP with simultaneous perturbation (SPSA):
@@ -226,66 +175,16 @@ func (s *spsaComponent) Name() string { return s.inner.Name() + "+spsa" }
 // Forward implements Component.
 func (s *spsaComponent) Forward(x []float64) []float64 { return s.inner.Forward(x) }
 
-// VJP implements Differentiable.
+// VJP implements Differentiable as a one-row BatchVJP.
 func (s *spsaComponent) VJP(x, ybar []float64) []float64 {
-	g, _ := s.VJPCtx(context.Background(), x, ybar)
-	return g
-}
-
-// VJPCtx implements CtxDifferentiable: cancellation is observed between
-// two-point samples. An aborted call leaves the shared RNG stream advanced by
-// the samples already drawn; the caller discards the whole sweep, so the
-// stream position only matters for runs that complete — which consume exactly
-// the same draws as an uncancelled call.
-func (s *spsaComponent) VJPCtx(ctx context.Context, x, ybar []float64) ([]float64, error) {
-	n := len(x)
-	grad := make([]float64, n)
-	delta := linalg.GetVec(n)
-	xp := linalg.GetVec(n)
-	xm := linalg.GetVec(n)
-	defer linalg.PutVec(delta)
-	defer linalg.PutVec(xp)
-	defer linalg.PutVec(xm)
-	for k := 0; k < s.samples; k++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		for j := range delta {
-			if s.r.Float64() < 0.5 {
-				delta[j] = 1
-			} else {
-				delta[j] = -1
-			}
-		}
-		s.mu.Unlock()
-		for j := range x {
-			xp[j] = x[j] + s.step*delta[j]
-			xm[j] = x[j] - s.step*delta[j]
-		}
-		fp := s.inner.Forward(xp)
-		fm := s.inner.Forward(xm)
-		gp, gm := 0.0, 0.0
-		for i := range ybar {
-			gp += ybar[i] * fp[i]
-			gm += ybar[i] * fm[i]
-		}
-		d := (gp - gm) / (2 * s.step)
-		for j := range grad {
-			grad[j] += d / delta[j]
-		}
-	}
-	inv := 1 / float64(s.samples)
-	for j := range grad {
-		grad[j] *= inv
-	}
-	return grad, nil
+	return s.BatchVJP(RowBatch(x), RowBatch(ybar)).Row(0)
 }
 
 // BatchForward implements BatchComponent by delegating to the inner
 // component.
 func (s *spsaComponent) BatchForward(xs *linalg.Matrix) *linalg.Matrix {
-	return batchForwardStage(s.inner, xs)
+	out := batchForwardStage(s.inner, xs)
+	return &out
 }
 
 // BatchVJP implements BatchDifferentiable.
@@ -295,12 +194,13 @@ func (s *spsaComponent) BatchVJP(xs, ybars *linalg.Matrix) *linalg.Matrix {
 }
 
 // BatchVJPCtx implements BatchCtxDifferentiable. Rows run sequentially (the
-// RNG is shared state), but each row's 2·samples probe points are packed
-// into one batch and evaluated through the batched forward. The ± deltas for
-// a row are drawn in the same order as the scalar VJP draws them, so a
-// batched row matches a scalar call made at the same point in the RNG
-// stream. Cancellation is observed between rows (each row costs 2·samples
-// forward evaluations).
+// RNG is shared state): each row draws its samples' ± deltas in one locked
+// run, then packs its 2·samples probe points into one batch evaluated
+// through the batched forward, so a row's estimate depends only on its point
+// and its position in the RNG stream, not on the batch it came in.
+// Cancellation is observed between rows (each row costs 2·samples forward
+// evaluations); an aborted call leaves the stream advanced by the rows
+// already drawn, and the caller discards the whole sweep.
 func (s *spsaComponent) BatchVJPCtx(ctx context.Context, xs, ybars *linalg.Matrix) (*linalg.Matrix, error) {
 	R, n := xs.Rows, xs.Cols
 	grads := linalg.NewMatrix(R, n)

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"context"
-	"sync"
-
 	"repro/internal/linalg"
 	"repro/internal/obs"
 )
@@ -71,6 +68,36 @@ func (d *denseProbes) Instrument(reg *obs.Registry) {
 	}
 }
 
+// prober binds a prober for one FD row at x: the wrapped component's own
+// when it is a SparseProbeEvaluator, a full-vector one otherwise.
+func (f *fdComponent) prober(x []float64) SparseProber {
+	if spe, ok := f.inner.(SparseProbeEvaluator); ok {
+		return spe.SparseProber(x)
+	}
+	xp := linalg.GetVec(len(x))
+	copy(xp, x)
+	return &fullProber{inner: f.inner, base: x, xp: xp}
+}
+
+// fullProber answers each probe with one Forward of the whole component at
+// the perturbed point. It touches only coordinate index of its pooled copy
+// of the base point and restores it, so there is no per-probe copy of x.
+type fullProber struct {
+	inner    Component
+	base, xp []float64
+}
+
+// Probe implements SparseProber.
+func (p *fullProber) Probe(index int, delta float64) []float64 {
+	p.xp[index] = p.base[index] + delta
+	y := p.inner.Forward(p.xp)
+	p.xp[index] = p.base[index]
+	return y
+}
+
+// Close implements SparseProber.
+func (p *fullProber) Close() { linalg.PutVec(p.xp) }
+
 // rowCoords returns the coordinates one FD row at p's base point must
 // probe: p's certified support when p is a SupportCertifier — every other
 // coordinate's central difference is exactly zero, which the caller's
@@ -87,9 +114,9 @@ func rowCoords(p SparseProber, step float64, n int) []int {
 }
 
 // centralDiff returns ybar·(f(x + step·e_j) − f(x − step·e_j)) at p's base
-// point — the scalar FD arithmetic (copy fp, probe fm, dot against ybar)
-// that keeps a sparse row bitwise identical to the dense one. fpBuf holds
-// len(ybar) scratch values.
+// point — one fixed FD arithmetic (copy fp, probe fm, dot against ybar), so
+// a row probed sparsely is bitwise identical to one probed by full
+// forwards. fpBuf holds len(ybar) scratch values.
 func centralDiff(p SparseProber, j int, step float64, ybar, fpBuf []float64) float64 {
 	fp := p.Probe(j, step)
 	copy(fpBuf, fp)
@@ -99,80 +126,4 @@ func centralDiff(p SparseProber, j int, step float64, ybar, fpBuf []float64) flo
 		s += ybar[i] * (fpBuf[i] - fm[i])
 	}
 	return s
-}
-
-// sweepInto writes grad[j] for the coordinates coords[from], coords[from +
-// stride], ... of p's base point, leaving every other entry untouched. It
-// stops early, with the row unfinished, once ctx fires.
-func (f *fdComponent) sweepInto(ctx context.Context, p SparseProber, coords []int, from, stride int, ybar, grad []float64) {
-	fpBuf := linalg.GetVec(len(ybar))
-	defer linalg.PutVec(fpBuf)
-	for k := from; k < len(coords); k += stride {
-		if ctx.Err() != nil {
-			return
-		}
-		j := coords[k]
-		grad[j] = centralDiff(p, j, f.step, ybar, fpBuf) / (2 * f.step)
-	}
-}
-
-// sparseVJPInto estimates grad (zeroed by the caller) via sparse probes of
-// the row's coordinates (see rowCoords), striped over the estimator's
-// workers. The certificate is computed once, on the first worker's prober;
-// each further worker binds a prober of its own. The result is bitwise
-// identical to the dense path whenever the prober honors the exactness and
-// certificate contracts. Returns ctx.Err() when cancelled.
-func (f *fdComponent) sparseVJPInto(ctx context.Context, spe SparseProbeEvaluator, x, ybar, grad []float64) error {
-	first := spe.SparseProber(x)
-	coords := rowCoords(first, f.step, len(x))
-	workers := max(1, min(f.workers, len(coords)))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := first
-			if w > 0 {
-				p = spe.SparseProber(x)
-			}
-			defer p.Close()
-			f.sweepInto(ctx, p, coords, w, workers, ybar, grad)
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// sparseBatchVJP is the batched-row counterpart: rows are independent base
-// points, each worker binds one prober per row and sweeps that row's
-// coordinates serially.
-func (f *fdComponent) sparseBatchVJP(ctx context.Context, spe SparseProbeEvaluator, xs, ybars *linalg.Matrix) (*linalg.Matrix, error) {
-	R, n := xs.Rows, xs.Cols
-	grads := linalg.NewMatrix(R, n)
-	workers := max(1, min(f.workers, R))
-	var wg sync.WaitGroup
-	rows := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range rows {
-				if ctx.Err() != nil {
-					continue // keep draining so the feeder never blocks
-				}
-				p := spe.SparseProber(xs.Row(r))
-				f.sweepInto(ctx, p, rowCoords(p, f.step, n), 0, 1, ybars.Row(r), grads.Row(r))
-				p.Close()
-			}
-		}()
-	}
-	for r := 0; r < R && ctx.Err() == nil; r++ {
-		rows <- r
-	}
-	close(rows)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return grads, nil
 }

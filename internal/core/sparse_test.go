@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,8 @@ type synthSparse struct {
 	w        []float64
 	forwards atomic.Int64
 	probes   atomic.Int64
+	// onProbe, when set, sees the running probe count after each probe.
+	onProbe func(n int64)
 }
 
 func (c *synthSparse) Name() string { return "synth" }
@@ -55,7 +58,9 @@ type synthProber struct {
 }
 
 func (p *synthProber) Probe(index int, delta float64) []float64 {
-	p.c.probes.Add(1)
+	if n := p.c.probes.Add(1); p.c.onProbe != nil {
+		p.c.onProbe(n)
+	}
 	p.xp[index] = p.base[index] + delta
 	out := p.c.eval(p.xp)
 	p.xp[index] = p.base[index]
@@ -80,13 +85,13 @@ func synthPair(n int, seed uint64) (*synthSparse, *synthSparse, []float64, []flo
 
 // TestFDSparseMatchesDenseVJP checks the acceptance contract of the fast
 // path: the sparse estimator's gradient is bitwise identical to the dense
-// full-vector estimator's, and the probes actually went through the sparse
-// channel (zero inner forwards).
+// full-vector one of the scalar FD oracle, and the probes actually went
+// through the sparse channel (zero inner forwards).
 func TestFDSparseMatchesDenseVJP(t *testing.T) {
 	const n = 23
 	sparse, dense, x, ybar := synthPair(n, 7)
 	fdSparse := WithFiniteDiff(sparse, 1e-4)
-	fdDense := WithFiniteDiff(DenseProbes(dense), 1e-4)
+	fdDense := NewScalarFD(DenseProbes(dense), 1e-4)
 
 	gs := fdSparse.VJP(x, ybar)
 	gd := fdDense.VJP(x, ybar)
@@ -109,12 +114,13 @@ func TestFDSparseMatchesDenseVJP(t *testing.T) {
 	}
 }
 
-// TestFDSparseMatchesDenseVJPCtx covers the context-aware scalar path, both
-// live and pre-cancelled.
+// TestFDSparseMatchesDenseVJPCtx covers the context-aware scalar path (a
+// one-row batch through the pipeline), both live and pre-cancelled, against
+// the scalar FD oracle on dense probes.
 func TestFDSparseMatchesDenseVJPCtx(t *testing.T) {
 	sparse, dense, x, ybar := synthPair(17, 11)
-	fdSparse := WithFiniteDiff(sparse, 1e-4).(*fdComponent)
-	fdDense := WithFiniteDiff(DenseProbes(dense), 1e-4).(*fdComponent)
+	fdSparse := NewPipeline(WithFiniteDiff(sparse, 1e-4))
+	fdDense := NewScalarFD(DenseProbes(dense), 1e-4)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	gs, err := fdSparse.VJPCtx(ctx, x, ybar)
@@ -137,12 +143,16 @@ func TestFDSparseMatchesDenseVJPCtx(t *testing.T) {
 	}
 }
 
-// TestFDSparseMatchesDenseBatchVJP covers the batched-row estimators.
+// TestFDSparseMatchesDenseBatchVJP covers the batched-row sweep against the
+// scalar FD oracle on dense probes, row by row, and then the sweep's
+// (row, stripe) schedule: R ∈ {1, 2, 3} rows under 1 and 4 workers, each
+// bitwise equal to the oracle, and each cancelled mid-row returning
+// ctx.Err().
 func TestFDSparseMatchesDenseBatchVJP(t *testing.T) {
 	const n, rows = 19, 5
 	sparse, dense, _, _ := synthPair(n, 13)
 	fdSparse := WithFiniteDiff(sparse, 1e-4).(*fdComponent)
-	fdDense := WithFiniteDiff(DenseProbes(dense), 1e-4).(*fdComponent)
+	fdDense := NewScalarFD(DenseProbes(dense), 1e-4)
 
 	r := rng.New(99)
 	xs := linalg.NewMatrix(rows, n)
@@ -155,7 +165,7 @@ func TestFDSparseMatchesDenseBatchVJP(t *testing.T) {
 	}
 
 	gs := fdSparse.BatchVJP(xs, ybars)
-	gd := fdDense.BatchVJP(xs, ybars)
+	gd := oracleRows(fdDense.VJP, xs, ybars)
 	for i := range gs.Data {
 		if gs.Data[i] != gd.Data[i] {
 			t.Fatalf("batch grad[%d]: sparse %v != dense %v", i, gs.Data[i], gd.Data[i])
@@ -175,6 +185,45 @@ func TestFDSparseMatchesDenseBatchVJP(t *testing.T) {
 	cancel()
 	if _, err := fdSparse.BatchVJPCtx(ctx, xs, ybars); err != context.Canceled {
 		t.Fatalf("cancelled sparse BatchVJPCtx: err = %v, want context.Canceled", err)
+	}
+
+	for _, sc := range []struct{ R, workers int }{{1, 1}, {1, 4}, {2, 1}, {2, 4}, {3, 1}, {3, 4}} {
+		t.Run(fmt.Sprintf("schedule/R=%d/workers=%d", sc.R, sc.workers), func(t *testing.T) {
+			sub := &linalg.Matrix{Rows: sc.R, Cols: n, Data: xs.Data[:sc.R*n]}
+			subBars := &linalg.Matrix{Rows: sc.R, Cols: 2, Data: ybars.Data[:sc.R*2]}
+			want := gd.Data[:sc.R*n]
+			syn := &synthSparse{w: sparse.w}
+			fd := &fdComponent{inner: syn, step: 1e-4, workers: sc.workers}
+			got, err := fd.BatchVJPCtx(context.Background(), sub, subBars)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got.Data[i] != want[i] {
+					t.Fatalf("grad[%d]: sweep %v != dense oracle %v", i, got.Data[i], want[i])
+				}
+			}
+			if p := syn.probes.Load(); p != int64(2*n*sc.R) || syn.forwards.Load() != 0 {
+				t.Fatalf("sweep ran %d probes and %d forwards, want %d and 0", p, syn.forwards.Load(), 2*n*sc.R)
+			}
+
+			// Cancel in the middle of the last row's sweep.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			syn.probes.Store(0)
+			stop := int64(2*n*(sc.R-1) + n)
+			syn.onProbe = func(p int64) {
+				if p == stop {
+					cancel()
+				}
+			}
+			if _, err := fd.BatchVJPCtx(ctx, sub, subBars); err != context.Canceled {
+				t.Fatalf("cancelled mid-row: err = %v, want context.Canceled", err)
+			}
+			if p := syn.probes.Load(); p >= int64(2*n*sc.R) {
+				t.Fatalf("cancelled sweep still ran all %d probes", p)
+			}
+		})
 	}
 }
 

@@ -9,25 +9,27 @@ import (
 	"repro/internal/rng"
 )
 
-// TestVJPCtxMatchesVJP pins that the plain VJP/BatchVJP entry points and
-// their ctx forms compute the same thing bit for bit when the context is
-// live but never fires: the white-box pipeline, FD with dense probes, FD
-// with sparse probes, and SPSA (two estimators from one seed, so both
-// consume the same random stream).
+// TestVJPCtxMatchesVJP pins that the ctx entry points VJPCtx and
+// BatchVJPCtx, under a context that is live but never fires, compute bit
+// for bit what the scalar oracles compute: the white-box pipeline, FD with
+// dense probes, FD with sparse probes, and SPSA (the oracle and the
+// estimator share a seed, so both consume the same random stream).
 func TestVJPCtxMatchesVJP(t *testing.T) {
 	m := trainedTriangleModel(t)
 	spsa := func() *core.Pipeline {
 		st := m.OpaqueRoutingPipeline().Stages()
 		return core.NewPipeline(st[0], st[1], core.WithSPSA(st[2], 1e-4, 6, 99))
 	}
+	fd := func(c core.Component) core.Component { return core.NewScalarFD(c, 1e-5) }
 	cases := []struct {
-		name      string
-		plain, cx *core.Pipeline
+		name   string
+		oracle core.ScalarChain
+		cx     *core.Pipeline
 	}{
-		{"whitebox", m.Pipeline(), m.Pipeline()},
-		{"fd-dense", m.OpaqueRoutingPipelineDense().Grayboxed(1e-5), m.OpaqueRoutingPipelineDense().Grayboxed(1e-5)},
-		{"fd-sparse", m.OpaqueRoutingPipeline().Grayboxed(1e-5), m.OpaqueRoutingPipeline().Grayboxed(1e-5)},
-		{"spsa", spsa(), spsa()},
+		{"whitebox", oraclePipeline(m), m.Pipeline()},
+		{"fd-dense", oracleOpaque(m, func(c core.Component) core.Component { return fd(core.DenseProbes(c)) }), m.OpaqueRoutingPipelineDense().Grayboxed(1e-5)},
+		{"fd-sparse", oracleOpaque(m, fd), m.OpaqueRoutingPipeline().Grayboxed(1e-5)},
+		{"spsa", oracleOpaque(m, func(c core.Component) core.Component { return core.NewScalarSPSA(c, 1e-4, 6, 99) }), spsa()},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -38,14 +40,17 @@ func TestVJPCtxMatchesVJP(t *testing.T) {
 	}
 	for _, c := range cases {
 		for r := 0; r < xs.Rows; r++ {
-			want := c.plain.VJP(xs.Row(r), []float64{1})
+			want := c.oracle.VJP(xs.Row(r), []float64{1})
 			got, err := c.cx.VJPCtx(ctx, xs.Row(r), []float64{1})
 			if err != nil {
 				t.Fatalf("%s row %d: VJPCtx: %v", c.name, r, err)
 			}
 			sameBits(t, c.name+" VJP", want, got)
 		}
-		want := c.plain.BatchVJP(xs, ones)
+		want := linalg.NewMatrix(xs.Rows, xs.Cols)
+		for r := 0; r < xs.Rows; r++ {
+			copy(want.Row(r), c.oracle.VJP(xs.Row(r), ones.Row(r)))
+		}
 		got, err := c.cx.BatchVJPCtx(ctx, xs, ones)
 		if err != nil {
 			t.Fatalf("%s: BatchVJPCtx: %v", c.name, err)

@@ -16,16 +16,17 @@ var (
 )
 
 // Batched implementations of the four pipeline stages (core.BatchComponent /
-// core.BatchDifferentiable): a multi-restart group hands each stage an
-// [R, n] matrix whose rows are the active restarts, and the stage processes
-// all rows on ONE tape — the DNN sees a [R, K·P] input so its dense layers
-// become matrix–matrix kernels, and the segment/routing ops use row-shifted
-// segment layouts.
+// core.BatchDifferentiable), the only bodies the stages have: a restart
+// group hands each stage an [R, n] matrix whose rows are the active
+// restarts, a scalar Forward/VJP hands it a one-row batch, and the stage
+// processes all rows on ONE tape — the DNN sees a [R, K·P] input so its
+// dense layers become matrix–matrix kernels, and the segment/routing ops use
+// row-shifted segment layouts.
 //
-// Every stage computes each row exactly as its scalar Forward/VJP would
+// Every stage computes each row exactly as a one-row batch of it would
 // (same kernels, same per-row accumulation order), so a batched sweep is
-// bitwise identical to R scalar sweeps — the property the equivalence tests
-// in core pin down.
+// bitwise identical to R one-row sweeps — the property the equivalence
+// tests in core pin down against scalar oracles of these stages.
 
 // batchRun is the shared forward(+backward) body of dnnStage.
 func (s *dnnStage) batchRun(xs, ybars *linalg.Matrix) (*linalg.Matrix, *linalg.Matrix) {
@@ -205,8 +206,7 @@ func (s *routingStage) BatchVJP(xs, ybars *linalg.Matrix) *linalg.Matrix {
 	return grad
 }
 
-// BatchForward implements core.BatchComponent: per-row max, same first-
-// attaining tie-break as the scalar Forward.
+// BatchForward implements core.BatchComponent: per-row max.
 func (mluStage) BatchForward(xs *linalg.Matrix) *linalg.Matrix {
 	out := linalg.NewMatrix(xs.Rows, 1)
 	for r := 0; r < xs.Rows; r++ {

@@ -1,10 +1,6 @@
 package dote
 
-import (
-	"repro/internal/ad"
-	"repro/internal/core"
-	"repro/internal/nn"
-)
+import "repro/internal/core"
 
 // This file adapts the DOTE pipeline to the analyzer's Component interface,
 // realizing the decomposition of Figure 4: the end-to-end system is the
@@ -27,44 +23,14 @@ type dnnStage struct{ m *Model }
 // Name implements core.Component.
 func (s *dnnStage) Name() string { return "dnn" }
 
-// Forward implements core.Component.
+// Forward implements core.Component as a one-row batch.
 func (s *dnnStage) Forward(x []float64) []float64 {
-	history, demand := s.m.SplitInput(x)
-	c := nn.GetCtx(false)
-	defer nn.PutCtx(c)
-	h := c.T.ConstMat(history, 1, len(history))
-	logits := s.m.LogitsValue(c, h)
-	out := make([]float64, s.m.TotalPaths()+s.m.NumPairs())
-	copy(out, logits.Data())
-	copy(out[s.m.TotalPaths():], demand)
-	return out
+	return s.BatchForward(core.RowBatch(x)).Row(0)
 }
 
-// VJP implements core.Differentiable via the tape.
+// VJP implements core.Differentiable as a one-row batch.
 func (s *dnnStage) VJP(x, ybar []float64) []float64 {
-	m := s.m
-	history, demand := m.SplitInput(x)
-	c := nn.GetCtx(false)
-	defer nn.PutCtx(c)
-	h := c.T.VarMat(history, 1, len(history))
-	logits := m.LogitsValue(c, h)
-	ad.BackwardVJP(logits, ybar[:m.TotalPaths()])
-	hg := h.Grad()
-
-	grad := make([]float64, len(x))
-	dbar := ybar[m.TotalPaths():]
-	if m.Cfg.Variant == Curr {
-		// The single input vector feeds both the DNN and the passthrough.
-		for i := range grad {
-			grad[i] = hg[i] + dbar[i]
-		}
-		return grad
-	}
-	copy(grad, hg)
-	for i := range demand {
-		grad[m.HistoryDim()+i] = dbar[i]
-	}
-	return grad
+	return s.BatchVJP(core.RowBatch(x), core.RowBatch(ybar)).Row(0)
 }
 
 // postprocStage is H2: the per-demand softmax over the logits part.
@@ -73,35 +39,14 @@ type postprocStage struct{ m *Model }
 // Name implements core.Component.
 func (s *postprocStage) Name() string { return "post-processor" }
 
-func (s *postprocStage) run(x []float64, ybar []float64) ([]float64, []float64) {
-	m := s.m
-	t := ad.GetTape()
-	defer ad.PutTape(t)
-	logits := t.Var(x[:m.TotalPaths()])
-	splits := ad.SegmentSoftmax(logits, m.offsets, m.lens)
-	out := make([]float64, len(x))
-	copy(out, splits.Data())
-	copy(out[m.TotalPaths():], x[m.TotalPaths():])
-	if ybar == nil {
-		return out, nil
-	}
-	ad.BackwardVJP(splits, ybar[:m.TotalPaths()])
-	grad := make([]float64, len(x))
-	copy(grad, logits.Grad())
-	copy(grad[m.TotalPaths():], ybar[m.TotalPaths():])
-	return out, grad
-}
-
-// Forward implements core.Component.
+// Forward implements core.Component as a one-row batch.
 func (s *postprocStage) Forward(x []float64) []float64 {
-	out, _ := s.run(x, nil)
-	return out
+	return s.BatchForward(core.RowBatch(x)).Row(0)
 }
 
-// VJP implements core.Differentiable.
+// VJP implements core.Differentiable as a one-row batch.
 func (s *postprocStage) VJP(x, ybar []float64) []float64 {
-	_, grad := s.run(x, ybar)
-	return grad
+	return s.BatchVJP(core.RowBatch(x), core.RowBatch(ybar)).Row(0)
 }
 
 // routingStage is H3: the bilinear routing of demands over splits.
@@ -110,35 +55,14 @@ type routingStage struct{ m *Model }
 // Name implements core.Component.
 func (s *routingStage) Name() string { return "routing" }
 
-func (s *routingStage) run(x []float64, ybar []float64) ([]float64, []float64) {
-	m := s.m
-	t := ad.GetTape()
-	defer ad.PutTape(t)
-	splits := t.Var(x[:m.TotalPaths()])
-	demand := t.Var(x[m.TotalPaths():])
-	util := m.UtilizationValue(t, demand, splits)
-	out := make([]float64, util.Len())
-	copy(out, util.Data())
-	if ybar == nil {
-		return out, nil
-	}
-	ad.BackwardVJP(util, ybar)
-	grad := make([]float64, len(x))
-	copy(grad, splits.Grad())
-	copy(grad[m.TotalPaths():], demand.Grad())
-	return out, grad
-}
-
-// Forward implements core.Component.
+// Forward implements core.Component as a one-row batch.
 func (s *routingStage) Forward(x []float64) []float64 {
-	out, _ := s.run(x, nil)
-	return out
+	return s.BatchForward(core.RowBatch(x)).Row(0)
 }
 
-// VJP implements core.Differentiable.
+// VJP implements core.Differentiable as a one-row batch.
 func (s *routingStage) VJP(x, ybar []float64) []float64 {
-	_, grad := s.run(x, ybar)
-	return grad
+	return s.BatchVJP(core.RowBatch(x), core.RowBatch(ybar)).Row(0)
 }
 
 // mluStage is H4: the max reduction.
@@ -147,29 +71,14 @@ type mluStage struct{}
 // Name implements core.Component.
 func (mluStage) Name() string { return "mlu" }
 
-// Forward implements core.Component.
-func (mluStage) Forward(x []float64) []float64 {
-	best := x[0]
-	for _, v := range x[1:] {
-		if v > best {
-			best = v
-		}
-	}
-	return []float64{best}
+// Forward implements core.Component as a one-row batch.
+func (s mluStage) Forward(x []float64) []float64 {
+	return s.BatchForward(core.RowBatch(x)).Row(0)
 }
 
-// VJP implements core.Differentiable: the subgradient flows to the first
-// attaining edge.
-func (mluStage) VJP(x, ybar []float64) []float64 {
-	arg, best := 0, x[0]
-	for i, v := range x {
-		if v > best {
-			best, arg = v, i
-		}
-	}
-	grad := make([]float64, len(x))
-	grad[arg] = ybar[0]
-	return grad
+// VJP implements core.Differentiable as a one-row batch.
+func (s mluStage) VJP(x, ybar []float64) []float64 {
+	return s.BatchVJP(core.RowBatch(x), core.RowBatch(ybar)).Row(0)
 }
 
 // Pipeline returns the four-stage analyzer pipeline for this model. Every

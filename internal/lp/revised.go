@@ -113,13 +113,10 @@ func (rv *revised) value(j int) float64 {
 
 // normalizeStatuses repairs nonbasic statuses that no longer agree with the
 // (possibly changed) bounds — a bound re-solve must never place a variable
-// at an infinite bound. It reports whether any status changed: a changed
-// status can break dual feasibility of the retained basis, so callers on the
-// bound-resolve fast path re-check before handing the basis to the dual
-// simplex.
-func (rv *revised) normalizeStatuses() bool {
+// at an infinite bound. A repaired status can break dual feasibility of the
+// retained basis; ResolveBounds checks that unconditionally afterwards.
+func (rv *revised) normalizeStatuses() {
 	sf := &rv.sf
-	changed := false
 	for j := 0; j < sf.ncols; j++ {
 		switch rv.vstat[j] {
 		case vsLower:
@@ -129,7 +126,6 @@ func (rv *revised) normalizeStatuses() bool {
 				} else {
 					rv.vstat[j] = vsFree
 				}
-				changed = true
 			}
 		case vsUpper:
 			if math.IsInf(sf.hi[j], 1) {
@@ -138,19 +134,15 @@ func (rv *revised) normalizeStatuses() bool {
 				} else {
 					rv.vstat[j] = vsFree
 				}
-				changed = true
 			}
 		case vsFree:
 			if !math.IsInf(sf.lo[j], -1) {
 				rv.vstat[j] = vsLower
-				changed = true
 			} else if !math.IsInf(sf.hi[j], 1) {
 				rv.vstat[j] = vsUpper
-				changed = true
 			}
 		}
 	}
-	return changed
 }
 
 func (rv *revised) growState() {

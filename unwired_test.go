@@ -37,7 +37,7 @@ var unwiredAllow = map[string]string{
 	"internal/core.ComponentError.Unwrap": "errors.Is/As unwrap through it",
 	// Cross-package test references: tests in other packages use these, so
 	// they cannot move into a _test.go file.
-	"internal/dote.Model.OpaqueRoutingPipelineDense": "TestCertifiedRowsMatchFullRowsGeant (dote) and TestVJPCtxMatchesVJP (core) compare the certified sparse path against this dense-probe pipeline",
+	"internal/dote.Model.OpaqueRoutingPipelineDense": "TestCertifiedRowsMatchFullRowsGeant (dote) compares the certified sparse path against this dense-probe pipeline, and TestVJPCtxMatchesVJP (core) checks it against the scalar FD oracle",
 	"internal/core.AttackTarget.RatioCached":         "BenchmarkEvalCacheMemo (root, make bench-json) times memo hits and misses through it",
 	"internal/te.UniformSplits":                      "fixture splits for TestRunBasics (sim), the search package's uniformTarget, TestUtilizationValueMatchesLinkLoads (dote) and BenchmarkRouting (root)",
 }
