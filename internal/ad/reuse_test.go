@@ -145,4 +145,18 @@ func TestTapeReuseStopsAllocating(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("rebuild on reset tape allocates %v times per run, want 0", allocs)
 	}
+
+	// The same graph with the weights bound by reference (the inference
+	// binding): a view takes a node but no arena storage.
+	allocs = testing.AllocsPerRun(50, func() {
+		tape.Reset()
+		wm := tape.ConstView(w, rows, cols)
+		xv := tape.Var(x)
+		out := Sum(Tanh(MatMul(wm, Reshape(xv, cols, 1))))
+		Backward(out)
+		copy(sink, xv.Grad())
+	})
+	if allocs != 0 {
+		t.Fatalf("view-bound rebuild on reset tape allocates %v times per run, want 0", allocs)
+	}
 }

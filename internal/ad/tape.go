@@ -146,6 +146,23 @@ func (t *Tape) ConstMat(data []float64, rows, cols int) Value {
 	return Value{t, n}
 }
 
+// ConstView records a non-differentiable leaf matrix that aliases data
+// instead of copying it into the arena — the way inference binds weights.
+// The view's capacity is clipped to rows*cols. No op writes a leaf's data,
+// and a non-differentiable leaf never gets a gradient, so the tape only
+// reads data; the caller must not change it while the tape is live (until
+// Reset or PutTape).
+func (t *Tape) ConstView(data []float64, rows, cols int) Value {
+	size := rows * cols
+	if len(data) != size {
+		panic("ad: ConstView shape mismatch")
+	}
+	n := t.na.get()
+	*n = node{t: t, data: data[:size:size], rows: rows, cols: cols}
+	t.nodes = append(t.nodes, n)
+	return Value{t, n}
+}
+
 // Data returns the forward value (shared storage — treat as read-only, and
 // invalid after Tape.Reset).
 func (v Value) Data() []float64 { return v.n.data }

@@ -15,7 +15,9 @@ import (
 // over the caller's slice (RowBatch). Stages that implement the Batch*
 // interfaces process the whole batch in one sweep (turning the DNN's work
 // into matrix–matrix kernels); stages that don't are driven row by row, so a
-// mixed pipeline still works.
+// mixed pipeline still works. Inside the chain rule every stage runs
+// forward once: a BatchRecorder records its own pass, and one core adapter
+// (recordStage, pullBack) gives every other stage the same shape.
 //
 // Contract: batched stages must compute each row EXACTLY as a one-row batch
 // of that row would — same values bit for bit, independent of the batch
@@ -87,10 +89,75 @@ func rowsFrom(y []float64, rows int) linalg.Matrix {
 	return *out
 }
 
-// sweep runs the forward pass: m[0] is the input batch, and stage i's
-// output lands in m[i+1]. It stops with ctx.Err() between stages.
-func (p *Pipeline) sweep(ctx context.Context, m []linalg.Matrix) error {
-	if m[0].Rows == 0 {
+// BatchRecorder is a BatchDifferentiable stage that records its forward
+// pass once and pulls cotangents back through that record, so the chain
+// rule does not run its forward twice. BatchRecord returns the stage's
+// output on xs, bitwise equal to BatchForward(xs), and a pull-back whose
+// result is bitwise equal to BatchVJP(xs, ybars). The pull-back runs at
+// most once and releases the record; a record that is never pulled back
+// (the ctx fired, a later stage panicked, the cotangent had the wrong
+// shape) is dropped for the GC, never released. A record copies what it
+// needs from xs and does not keep it.
+type BatchRecorder interface {
+	BatchDifferentiable
+	BatchRecord(xs *linalg.Matrix) (ys *linalg.Matrix, pull func(ybars *linalg.Matrix) *linalg.Matrix)
+}
+
+// pullFunc is a BatchRecorder's pull-back; nil in a sweep slot means the
+// stage is pulled back through its VJP at the input batch the slot keeps.
+type pullFunc func(ybars *linalg.Matrix) *linalg.Matrix
+
+// recordStage runs stage s forward on xs once and returns its output with
+// the pull-back of that record (nil for a stage that is not a recorder).
+func recordStage(s Component, xs *linalg.Matrix) (linalg.Matrix, pullFunc) {
+	if r, ok := s.(BatchRecorder); ok {
+		ys, pb := r.BatchRecord(xs)
+		return *ys, pb
+	}
+	return batchForwardStage(s, xs), nil
+}
+
+// pullBack maps the cotangent batch of stage s's output to that of its input
+// xs: through the stage's record when it has one, else through its VJP.
+// Together with recordStage it is the one adapter between the chain rule
+// and the stage kinds. Stages without a batched VJP are pulled back row by
+// row.
+func pullBack(ctx context.Context, s Component, pb pullFunc, xs, ybars *linalg.Matrix) (linalg.Matrix, error) {
+	if pb != nil {
+		return *pb(ybars), nil
+	}
+	switch d := s.(type) {
+	case BatchCtxDifferentiable:
+		g, err := d.BatchVJPCtx(ctx, xs, ybars)
+		if err != nil {
+			return linalg.Matrix{}, err
+		}
+		return *g, nil
+	case BatchDifferentiable:
+		return *d.BatchVJP(xs, ybars), nil
+	case Differentiable:
+		g := rowsFrom(d.VJP(xs.Row(0), ybars.Row(0)), xs.Rows)
+		for i := 1; i < xs.Rows; i++ {
+			copy(g.Row(i), d.VJP(xs.Row(i), ybars.Row(i)))
+		}
+		return g, nil
+	default:
+		panic(fmt.Sprintf("core: stage %q is not differentiable; wrap it with WithFiniteDiff or WithSPSA", s.Name()))
+	}
+}
+
+// slot i of a sweep holds stage i's input batch and, inside the chain rule,
+// the pull-back of its record; slot n holds the pipeline's output.
+type slot struct {
+	x    linalg.Matrix
+	pull pullFunc
+}
+
+// sweep runs the forward pass: sl[0].x is the input batch, and stage i's
+// output lands in sl[i+1].x. With rec set (the chain rule) each stage is
+// recorded once into sl[i].pull. It stops with ctx.Err() between stages.
+func (p *Pipeline) sweep(ctx context.Context, sl []slot, rec bool) error {
+	if sl[0].x.Rows == 0 {
 		panic("core: pipeline sweep on empty batch")
 	}
 	for i, s := range p.stages {
@@ -101,7 +168,11 @@ func (p *Pipeline) sweep(ctx context.Context, m []linalg.Matrix) error {
 		if p.obs != nil {
 			t = p.obs[i].fwd.StartTimer()
 		}
-		m[i+1] = batchForwardStage(s, &m[i])
+		if rec {
+			sl[i+1].x, sl[i].pull = recordStage(s, &sl[i].x)
+		} else {
+			sl[i+1].x = batchForwardStage(s, &sl[i].x)
+		}
 		t.Stop()
 	}
 	return nil
@@ -110,11 +181,11 @@ func (p *Pipeline) sweep(ctx context.Context, m []linalg.Matrix) error {
 // BatchForward evaluates the whole system on every row of xs.
 func (p *Pipeline) BatchForward(xs *linalg.Matrix) *linalg.Matrix {
 	n := len(p.stages)
-	m := make([]linalg.Matrix, n+1)
-	m[0] = *xs
-	_ = p.sweep(context.Background(), m)
-	clear(m[:n]) // the result must not keep the intermediate batches alive
-	return &m[n]
+	sl := make([]slot, n+1)
+	sl[0].x = *xs
+	_ = p.sweep(context.Background(), sl, false)
+	clear(sl[:n]) // the result must not keep the intermediate batches alive
+	return &sl[n].x
 }
 
 // BatchVJP computes the chain-rule VJP of every row in lock-step (see
@@ -135,31 +206,32 @@ type BatchCtxDifferentiable interface {
 }
 
 // BatchVJPCtx is the analyzer's chain rule (Figure 4): it runs the batched
-// forward sweep, keeping each stage's input batch, then pulls the per-row
-// cotangents back stage by stage. Stages without a batched VJP are pulled
-// back row by row. Every stage must be Differentiable — wrap opaque stages
-// with WithFiniteDiff or WithSPSA first (see Grayboxed).
+// forward sweep once, recording every stage (recordStage), then pulls the
+// per-row cotangents back through the records stage by stage (pullBack). Every stage
+// must be Differentiable — wrap opaque stages with WithFiniteDiff or
+// WithSPSA first (see Grayboxed).
 //
 // ctx is checked between stages and BatchCtxDifferentiable stages (the
 // sampling estimators) observe it mid-sweep. A context that never fires
 // leaves every row bitwise unchanged. The only error returned is ctx.Err();
 // structural problems (shape mismatches, non-differentiable stages) still
-// panic, to be contained by the search engine's recover() boundary.
+// panic, to be contained by the search engine's recover() boundary. Records
+// left unpulled by an early return or a panic are dropped.
 func (p *Pipeline) BatchVJPCtx(ctx context.Context, xs, ybars *linalg.Matrix) (*linalg.Matrix, error) {
-	// m[i] is stage i's input batch and m[n] the output. On the way back
-	// m[i+1] holds the cotangent of stage i's output and m[i] is replaced by
-	// that of its input, so the headers of the whole sweep share one slice.
+	// sl[i].x is stage i's input batch and sl[n].x the output. On the way
+	// back sl[i+1].x holds the cotangent of stage i's output and sl[i].x is
+	// replaced by that of its input, so the whole sweep shares one slice.
 	n := len(p.stages)
-	m := make([]linalg.Matrix, n+1)
-	m[0] = *xs
-	if err := p.sweep(ctx, m); err != nil {
+	sl := make([]slot, n+1)
+	sl[0].x = *xs
+	if err := p.sweep(ctx, sl, true); err != nil {
 		return nil, err
 	}
-	if ybars.Rows != m[n].Rows || ybars.Cols != m[n].Cols {
+	if out := &sl[n].x; ybars.Rows != out.Rows || ybars.Cols != out.Cols {
 		panic(fmt.Sprintf("core: batch cotangent shape [%d,%d], output [%d,%d]",
-			ybars.Rows, ybars.Cols, m[n].Rows, m[n].Cols))
+			ybars.Rows, ybars.Cols, out.Rows, out.Cols))
 	}
-	m[n] = *ybars
+	sl[n].x = *ybars
 	for i := n - 1; i >= 0; i-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -168,30 +240,16 @@ func (p *Pipeline) BatchVJPCtx(ctx context.Context, xs, ybars *linalg.Matrix) (*
 		if p.obs != nil {
 			t = p.obs[i].vjp.StartTimer()
 		}
-		in, cot := &m[i], &m[i+1]
-		switch d := p.stages[i].(type) {
-		case BatchCtxDifferentiable:
-			g, err := d.BatchVJPCtx(ctx, in, cot)
-			if err != nil {
-				t.Stop()
-				return nil, err
-			}
-			m[i] = *g
-		case BatchDifferentiable:
-			m[i] = *d.BatchVJP(in, cot)
-		case Differentiable:
-			g := rowsFrom(d.VJP(in.Row(0), cot.Row(0)), in.Rows)
-			for r := 1; r < in.Rows; r++ {
-				copy(g.Row(r), d.VJP(in.Row(r), cot.Row(r)))
-			}
-			m[i] = g
-		default:
-			panic(fmt.Sprintf("core: stage %q is not differentiable; wrap it with WithFiniteDiff or WithSPSA", p.stages[i].Name()))
-		}
+		g, err := pullBack(ctx, p.stages[i], sl[i].pull, &sl[i].x, &sl[i+1].x)
 		t.Stop()
+		if err != nil {
+			return nil, err
+		}
+		sl[i].x = g
 	}
-	clear(m[1:]) // the result must not keep the intermediate batches alive
-	return &m[0], nil
+	clear(sl[1:]) // the result must not keep the intermediate batches alive
+	sl[0].pull = nil
+	return &sl[0].x, nil
 }
 
 // BatchGrad returns the gradient of a scalar-output pipeline for every row.

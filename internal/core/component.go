@@ -65,8 +65,8 @@ type Instrumentable interface {
 
 // Instrument routes per-stage wall-clock timings into reg: stage i records
 // "pipeline.<name>.forward.ms" on every forward evaluation (including the
-// forward sweep inside a VJP) and "pipeline.<name>.vjp.ms" on every backward
-// pull. Stages sharing a name share histograms; stages implementing
+// recorded forward inside a VJP) and "pipeline.<name>.vjp.ms" on every
+// pull-back of that record. Stages sharing a name share histograms; stages implementing
 // Instrumentable are handed reg as well. Instrument(nil) removes the
 // instrumentation and restores the allocation-free fast path. Not safe to
 // call concurrently with evaluations.

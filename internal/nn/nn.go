@@ -41,8 +41,9 @@ func (p *Param) ZeroGrad() {
 // Ctx carries a tape plus the parameter bindings of one forward pass. When
 // Train is true, parameters are bound as differentiable leaves and Harvest
 // moves their tape gradients into Param.Grad; otherwise they are constants
-// (the mode the analyzer uses: it differentiates with respect to the
-// *input*, not the weights).
+// bound by reference (the mode the analyzer uses: it differentiates with
+// respect to the *input*, not the weights), so no parameter may change
+// while an inference ctx is live.
 type Ctx struct {
 	T     *ad.Tape
 	Train bool
@@ -78,13 +79,15 @@ func PutCtx(c *Ctx) {
 }
 
 // Bind places p on the tape, recording it for Harvest when training.
+// Training copies p into the tape; inference binds it by reference
+// (ad.Tape.ConstView), so p.Data must not change while the tape is live.
 func (c *Ctx) Bind(p *Param) ad.Value {
 	if c.Train {
 		v := c.T.VarMat(p.Data, p.Rows, p.Cols)
 		c.binds = append(c.binds, paramBind{p, v})
 		return v
 	}
-	return c.T.ConstMat(p.Data, p.Rows, p.Cols)
+	return c.T.ConstView(p.Data, p.Rows, p.Cols)
 }
 
 // Harvest accumulates tape gradients into each bound parameter's Grad.
